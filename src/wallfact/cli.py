@@ -83,7 +83,12 @@ def _cap(args):
     if args.cap is not None:
         return args.cap
     env = os.environ.get("WALLFACT_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise jsonio.InputError("WALLFACT_CAP must be an integer, got %r" % env) from None
 
 
 def cmd_length(args):

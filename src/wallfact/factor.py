@@ -23,6 +23,14 @@ class DegenerateRestriction(Exception):
     """The Wall form restricts degenerately to the requested subspace."""
 
 
+class CertificateError(Exception):
+    """A constructed result failed the check that certifies it.
+
+    Raised explicitly rather than by ``assert``, so the check also runs
+    under ``python -O``; it signals an internal fault, not bad input.
+    """
+
+
 class Factorization:
     """An ordered list of reflecting vectors whose product is a known isometry."""
 

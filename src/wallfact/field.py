@@ -2,8 +2,12 @@
 
 Rational scalars are plain :class:`fractions.Fraction` values (arbitrary
 precision, always in lowest terms).  Scalars in F_p are :class:`Fp`
-instances.  Both kinds support the usual arithmetic operators, so the
-linear-algebra layer above is written once, generically.
+instances.  Both kinds support the usual arithmetic operators, so code
+above the linear-algebra layer is written once, generically.  The matrix
+kernels are not: each field has its own, and the F_p ones compute on the
+plain int residues and box results back into Fp, which is the boundary
+type that every matrix entry and returned scalar has.  A PrimeField hands
+out one shared Fp object per residue (``PrimeField.residues``).
 
 Square classes (the multiplicative group of the field modulo squares) get a
 canonical representative: a square-free signed integer over the rationals,
@@ -318,8 +322,30 @@ class RationalField:
 QQ = RationalField()
 
 
+class _Residues(dict):
+    """The Fp object of each residue in [0, p), created on first use."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, r):
+        if not 0 <= r < self.p:
+            raise ValueError("%r is not a reduced residue mod %d" % (r, self.p))
+        x = self[r] = Fp(r, self.p)
+        return x
+
+
 class PrimeField:
-    """The field F_p for an odd prime p; elements are Fp residues."""
+    """The field F_p for an odd prime p; elements are Fp residues.
+
+    ``residues[r]`` is the one Fp object this field hands out for the
+    residue r in [0, p): coercion, zero, one and the linear-algebra kernels
+    box through it, so equal entries of their results are the same object.
+    It holds at most one object per residue used with this field.
+    """
 
     kind = "prime"
     is_ordered = False
@@ -328,6 +354,7 @@ class PrimeField:
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError("the characteristic must be an odd prime, got %r" % (p,))
         self.p = p
+        self.residues = _Residues(p)
 
     @property
     def characteristic(self):
@@ -339,28 +366,28 @@ class PrimeField:
                 raise ValueError("residue mod %d used in F_%d" % (x.p, self.p))
             return x
         if isinstance(x, int):
-            return Fp(x, self.p)
+            return self.residues[x % self.p]
         if isinstance(x, str):
-            return Fp(int(x), self.p)
+            return self.residues[int(x) % self.p]
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
+            return self.residues[x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p]
         raise TypeError("cannot coerce %r into F_%d" % (x, self.p))
 
     @property
     def zero(self):
-        return Fp(0, self.p)
+        return self.residues[0]
 
     @property
     def one(self):
-        return Fp(1, self.p)
+        return self.residues[1]
 
     def elements(self):
-        return (Fp(i, self.p) for i in range(self.p))
+        return (self.residues[i] for i in range(self.p))
 
     def nonzero_elements(self):
-        return (Fp(i, self.p) for i in range(1, self.p))
+        return (self.residues[i] for i in range(1, self.p))
 
     def is_square(self, a):
         a = self(a)

@@ -61,10 +61,6 @@ def fixes_hyperbolic_space(f) -> bool:
     return is_positive_isometry(f)
 
 
-def _counts(space, W):
-    return space.inertia(W)
-
-
 def classify(f) -> HyperbolicClass:
     """Elliptic / parabolic / hyperbolic, via the moved space.
 
@@ -75,7 +71,7 @@ def classify(f) -> HyperbolicClass:
     _require_lorentz(space)
     if not is_positive_isometry(f):
         raise NotPositive("only positive isometries act on hyperbolic space")
-    pos, neg, zero = _counts(space, moved_space(f))
+    pos, neg, zero = space.inertia(moved_space(f))
     if neg == 0 and zero == 0:
         by_mov = HyperbolicClass.ELLIPTIC
     elif neg == 0:
@@ -83,7 +79,7 @@ def classify(f) -> HyperbolicClass:
     else:
         by_mov = HyperbolicClass.HYPERBOLIC
 
-    fpos, fneg, fzero = _counts(space, fixed_space(f))
+    fpos, fneg, fzero = space.inertia(fixed_space(f))
     if fneg > 0:
         by_fix = HyperbolicClass.ELLIPTIC
     elif fzero > 0:

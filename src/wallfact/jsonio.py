@@ -172,7 +172,3 @@ def decode_subspace(obj, space):
         raise InputError("subspace needs a 'basis' key")
     rows = [decode_vector(v, space.field) for v in obj["basis"]]
     return Subspace(space.field, space.dim, rows)
-
-
-def encode_square_class(cls):
-    return {"class": encode_scalar(cls.rep) if not isinstance(cls.rep, int) else cls.rep}

@@ -5,11 +5,22 @@ kept in canonical form: the reduced row echelon basis of their row span, so
 two Subspace objects are equal (and hash alike) exactly when they describe
 the same subspace.  Everything is plain Gaussian elimination; inputs are
 desk-scale and exactness beats asymptotics here.
+
+Each field has one set of kernels (products, sums, elimination,
+determinants), chosen from the matrix's field.  Over Q they compute with
+Fraction values.  Over F_p they compute on plain int residues, reduce mod p
+once per dot product or row operation, and box results into Fp (the
+field's shared objects, ``PrimeField.residues``) only where they are stored
+in a Matrix or returned: Fp is the boundary type, and no Fp object is
+created inside an elimination.  Results built from entries that are
+already field elements skip the per-entry coercion that Matrix(field,
+entries) and Subspace(field, n, vectors) apply to outside input.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, mul, sub
 
 from .field import PrimeField
 
@@ -29,36 +40,148 @@ class TooLarge(Exception):
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 
 
-def _rref(field, rows, ncols):
-    """Reduced row echelon form of a list of row tuples.
+# ---------------------------------------------------------------------------
+# kernels: rows in and out are lists of "kernel scalars", which are Fraction
+# values over Q and int residues in [0, p) over F_p
 
-    Returns (rows, pivots) where rows is a list of lists with the zero rows
-    removed and pivots the increasing list of pivot columns.
+def _kernel_rows(field, rows):
+    """Rows of field elements as fresh lists of kernel scalars."""
+    if isinstance(field, PrimeField):
+        return [[x.value for x in row] for row in rows]
+    return [list(row) for row in rows]
+
+
+def _field_rows(field, rows):
+    """Rows of kernel scalars boxed into a tuple of tuples of field elements."""
+    if isinstance(field, PrimeField):
+        box = field.residues
+        return tuple(tuple(box[x] for x in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
+
+
+def _rref(field, rows, ncols):
+    """Reduced row echelon form of a list of rows of kernel scalars.
+
+    Returns (rows, pivots) where rows is a list of lists of kernel scalars
+    with the zero rows removed and pivots the increasing list of pivot
+    columns.  The input lists are reordered and overwritten.
     """
-    work = [list(r) for r in rows]
+    if isinstance(field, PrimeField):
+        return _rref_mod(rows, ncols, field.p)
+    return _rref_rational(rows, ncols)
+
+
+def _pivot_row(work, r, c):
+    for i in range(r, len(work)):
+        if work[i][c]:
+            return i
+    return None
+
+
+# Row r has zeros left of column c when column c is reached (earlier columns
+# are pivots cleared in every other row, or zero from row r down), so the
+# row operations of both eliminations touch columns c.. only.
+
+def _rref_rational(work, ncols):
     nrows = len(work)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = _pivot_row(work, r, c)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.one / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        inv = 1 / work[r][c]
+        head = work[r][:c]
+        tail = [x * inv for x in work[r][c:]]
+        work[r] = head + tail
         for i in range(nrows):
-            if i != r and work[i][c]:
-                t = work[i][c]
-                work[i] = [x - t * y for x, y in zip(work[i], work[r])]
+            t = work[i][c]
+            if i != r and t:
+                row = work[i]
+                row[c:] = [x - t * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return work[:r], pivots
+
+
+def _rref_mod(work, ncols, p):
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = _pivot_row(work, r, c)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = pow(work[r][c], p - 2, p)
+        head = work[r][:c]
+        tail = [x * inv % p for x in work[r][c:]]
+        work[r] = head + tail
+        for i in range(nrows):
+            t = work[i][c]
+            if i != r and t:
+                row = work[i]
+                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work[:r], pivots
+
+
+def _det_rational(work):
+    n = len(work)
+    det = 1
+    for c in range(n):
+        pivot_row = _pivot_row(work, c, c)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        pivot = work[c][c]
+        det = det * pivot
+        tail = work[c][c:]
+        for i in range(c + 1, n):
+            if work[i][c]:
+                t = work[i][c] / pivot
+                row = work[i]
+                row[c:] = [x - t * y for x, y in zip(row[c:], tail)]
+    return det
+
+
+def _det_mod(work, p):
+    n = len(work)
+    det = 1
+    for c in range(n):
+        pivot_row = _pivot_row(work, c, c)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        pivot = work[c][c]
+        det = det * pivot % p
+        inv = pow(pivot, p - 2, p)
+        tail = work[c][c:]
+        for i in range(c + 1, n):
+            if work[i][c]:
+                t = work[i][c] * inv % p
+                row = work[i]
+                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], tail)]
+    return det
+
+
+def _check_same_field(a, b):
+    """Raise as the scalars would when operands live in different fields."""
+    if a == b:
+        return
+    if isinstance(a, PrimeField) and isinstance(b, PrimeField):
+        raise ValueError("mixed characteristics: F_%d vs F_%d" % (a.p, b.p))
+    raise TypeError("operands over %r and %r" % (a, b))
 
 
 class Matrix:
@@ -67,7 +190,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, entries, cols=None):
-        entries = tuple(tuple(field(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(field, row)) for row in entries)
         if entries:
             ncols = len(entries[0])
             if any(len(row) != ncols for row in entries):
@@ -82,21 +205,35 @@ class Matrix:
         self.entries = entries
 
     @classmethod
+    def _of(cls, field, entries, cols):
+        """Internal result: entries is already a rectangular tuple of tuples
+        of elements of field, so coercion and shape checks are skipped."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = len(entries)
+        M.cols = cols
+        M.entries = entries
+        return M
+
+    @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
+        return cls.diagonal(field, [field.one] * n)
 
     @classmethod
     def zeros(cls, field, rows, cols):
         zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
+        return cls._of(field, ((zero,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, field, values):
         values = [field(v) for v in values]
-        zero = field.zero
-        n = len(values)
-        return cls(field, [[values[i] if i == j else zero for j in range(n)] for i in range(n)])
+        zeros = [field.zero] * len(values)
+        rows = []
+        for i, v in enumerate(values):
+            row = zeros.copy()
+            row[i] = v
+            rows.append(tuple(row))
+        return cls._of(field, tuple(rows), len(values))
 
     def __getitem__(self, key):
         i, j = key
@@ -110,49 +247,63 @@ class Matrix:
 
     def transpose(self):
         if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)] if self.cols else [], cols=0)
-        if self.cols == 0:
-            return Matrix(self.field, [], cols=self.rows)
-        return Matrix(self.field, list(zip(*self.entries)))
+            return Matrix._of(self.field, ((),) * self.cols, 0)
+        return Matrix._of(self.field, tuple(zip(*self.entries)), self.rows)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other, op):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch("%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        field = self.field
+        _check_same_field(field, other.field)
+        pairs = zip(self.entries, other.entries)
+        if isinstance(field, PrimeField):
+            p, box = field.p, field.residues
+            entries = tuple([tuple([box[op(a.value, b.value) % p] for a, b in zip(r1, r2)])
+                             for r1, r2 in pairs])
+        else:
+            entries = tuple([tuple(map(op, r1, r2)) for r1, r2 in pairs])
+        return Matrix._of(field, entries, self.cols)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries])
+        return Matrix._of(self.field, tuple(tuple(-a for a in row) for row in self.entries),
+                          self.cols)
 
     def scale(self, c):
         c = self.field(c)
-        return Matrix(self.field, [[c * a for a in row] for row in self.entries])
+        return Matrix._of(self.field, tuple(tuple(c * a for a in row) for row in self.entries),
+                          self.cols)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch("%dx%d @ %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        _check_same_field(self.field, other.field)
         if self.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
-        cols = other.transpose().entries
-        return Matrix(self.field, [[_dot(r, c) for c in cols] for r in self.entries],
-                      cols=other.cols)
+        field = self.field
+        if isinstance(field, PrimeField):
+            p, box = field.p, field.residues
+            cols = [[x.value for x in col] for col in zip(*other.entries)]
+            entries = tuple([tuple([box[sum(map(mul, r, c)) % p] for c in cols])
+                             for r in [[x.value for x in row] for row in self.entries]])
+        else:
+            cols = list(zip(*other.entries))
+            entries = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.entries])
+        return Matrix._of(field, entries, other.cols)
 
     def apply(self, v):
         """Matrix times column vector, as a tuple."""
-        v = tuple(self.field(x) for x in v)
+        v = tuple(map(self.field, v))
         if len(v) != self.cols:
             raise DimensionMismatch("vector of length %d against %d columns" % (len(v), self.cols))
         return tuple(_dot(row, v) for row in self.entries)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
 
     def is_zero(self):
         return all(not x for row in self.entries for x in row)
@@ -164,49 +315,32 @@ class Matrix:
                    for i in range(self.rows) for j in range(i + 1, self.cols))
 
     def rref(self):
-        rows, pivots = _rref(self.field, self.entries, self.cols)
-        return Matrix(self.field, rows, cols=self.cols), tuple(pivots)
+        rows, pivots = _rref(self.field, _kernel_rows(self.field, self.entries), self.cols)
+        return Matrix._of(self.field, _field_rows(self.field, rows), self.cols), tuple(pivots)
 
     def rank(self):
-        return len(_rref(self.field, self.entries, self.cols)[1])
+        return len(_rref(self.field, _kernel_rows(self.field, self.entries), self.cols)[1])
 
     def det(self):
         if self.rows != self.cols:
             raise NonSquare("determinant of a %dx%d matrix" % (self.rows, self.cols))
-        n = self.rows
-        if n == 0:
-            return self.field.one
-        work = [list(r) for r in self.entries]
-        det = self.field.one
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if work[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                det = -det
-            det = det * work[c][c]
-            inv = self.field.one / work[c][c]
-            for i in range(c + 1, n):
-                if work[i][c]:
-                    t = work[i][c] * inv
-                    work[i] = [x - t * y for x, y in zip(work[i], work[c])]
-        return det
+        field = self.field
+        work = _kernel_rows(field, self.entries)
+        if isinstance(field, PrimeField):
+            return field.residues[_det_mod(work, field.p)]
+        return field(_det_rational(work))
 
     def inverse(self):
         if self.rows != self.cols:
             raise NonSquare("inverse of a %dx%d matrix" % (self.rows, self.cols))
         n = self.rows
-        aug = [list(row) + [self.field.one if i == j else self.field.zero for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        reduced, pivots = _rref(self.field, aug, 2 * n)
+        field = self.field
+        aug = _kernel_rows(field, [row + e for row, e in
+                                   zip(self.entries, Matrix.identity(field, n).entries)])
+        reduced, pivots = _rref(field, aug, 2 * n)
         if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in reduced])
+        return Matrix._of(field, _field_rows(field, [row[n:] for row in reduced]), n)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -260,37 +394,39 @@ def is_zero_vector(v):
 
 def solve(A, b):
     """A particular solution x of A x = b, or None when none exists."""
-    b = tuple(A.field(x) for x in b)
+    field = A.field
+    b = tuple(map(field, b))
     if len(b) != A.rows:
         raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
-    aug = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
-    reduced, pivots = _rref(A.field, aug, A.cols + 1)
+    aug = _kernel_rows(field, [row + (x,) for row, x in zip(A.entries, b)])
+    reduced, pivots = _rref(field, aug, A.cols + 1)
     if A.cols in pivots:
         return None
-    x = [A.field.zero] * A.cols
+    x = [0] * A.cols
     for i, c in enumerate(pivots):
         x[c] = reduced[i][A.cols]
-    return tuple(x)
+    return tuple(map(field, x))
 
 
 def kernel(A):
     """The null space of A as a Subspace of the column-index space."""
-    reduced, pivots = _rref(A.field, A.entries, A.cols)
+    field = A.field
+    reduced, pivots = _rref(field, _kernel_rows(field, A.entries), A.cols)
     pivot_set = set(pivots)
     free = [c for c in range(A.cols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [A.field.zero] * A.cols
-        v[fc] = A.field.one
+        v = [0] * A.cols
+        v[fc] = 1
         for i, pc in enumerate(pivots):
             v[pc] = -reduced[i][fc]
         basis.append(v)
-    return Subspace(A.field, A.cols, basis)
+    return Subspace(field, A.cols, basis)
 
 
 def image(A):
     """The column space of A as a Subspace."""
-    return Subspace(A.field, A.rows, list(zip(*A.entries)) if A.cols else [])
+    return Subspace._span(A.field, A.rows, _kernel_rows(A.field, zip(*A.entries)))
 
 
 def rank(A):
@@ -307,15 +443,25 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis")
 
     def __init__(self, field, ambient_dim, vectors=()):
-        vectors = [tuple(field(x) for x in v) for v in vectors]
+        vectors = [tuple(map(field, v)) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                         % (len(v), ambient_dim))
-        rows, _ = _rref(field, vectors, ambient_dim)
+        self._reduce(field, ambient_dim, _kernel_rows(field, vectors))
+
+    @classmethod
+    def _span(cls, field, ambient_dim, rows):
+        """Internal: the span of rows of kernel scalars of length ambient_dim."""
+        U = object.__new__(cls)
+        U._reduce(field, ambient_dim, rows)
+        return U
+
+    def _reduce(self, field, ambient_dim, rows):
+        rows, _ = _rref(field, rows, ambient_dim)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in rows)
+        self.basis = _field_rows(field, rows)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -323,23 +469,22 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).entries)
+        return cls._span(field, ambient_dim,
+                         _kernel_rows(field, Matrix.identity(field, ambient_dim).entries))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def basis_matrix(self):
-        if not self.basis:
-            return Matrix.zeros(self.field, 0, self.ambient_dim)
-        return Matrix(self.field, self.basis)
+        return Matrix._of(self.field, self.basis, self.ambient_dim)
 
     def contains(self, v):
         return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v):
         """Coefficients of v in the canonical basis, or None if v is outside."""
-        v = tuple(self.field(x) for x in v)
+        v = tuple(map(self.field, v))
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                     % (len(v), self.ambient_dim))
@@ -376,7 +521,7 @@ class Subspace:
 
 def subspace_sum(U, W):
     _check_same_ambient(U, W)
-    return Subspace(U.field, U.ambient_dim, list(U.basis) + list(W.basis))
+    return Subspace._span(U.field, U.ambient_dim, _kernel_rows(U.field, U.basis + W.basis))
 
 
 def subspace_intersection(U, W):

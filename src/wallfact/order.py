@@ -95,7 +95,7 @@ class IntervalPoset:
 
     def to_json_dict(self):
         return {
-            "elements": [[[_scalar_str(x) for x in row] for row in g.matrix.entries]
+            "elements": [[[str(x) for x in row] for row in g.matrix.entries]
                          for g in self.elements],
             "ranks": list(self.rank),
             "covers": [list(c) for c in self.covers],
@@ -110,10 +110,6 @@ class IntervalPoset:
             lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines)
-
-
-def _scalar_str(x):
-    return str(x)
 
 
 def _sort_key(g):

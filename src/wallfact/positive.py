@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import (Factorization, bilinear_value, nonalternating_witness,
+from .factor import (CertificateError, Factorization, bilinear_value, nonalternating_witness,
                      restrict_bilinear, right_complement_rows, triangular_basis,
                      _triangular_rec, _unit)
 from .field import rational_square_in_interval
@@ -502,8 +502,12 @@ def positive_factorization(f) -> Factorization:
         g = space.reflection(u) @ f
         inner = positive_factorization(g)
         fact = Factorization(space, (u,) + inner.vectors, target=f)
-    assert fact.is_positive()
-    assert len(fact) == positive_reflection_length(f)
+    if not fact.is_positive():
+        raise CertificateError("a reflecting vector of the factorization has Q(v) <= 0")
+    length = positive_reflection_length(f)
+    if len(fact) != length:
+        raise CertificateError("the factorization has %d reflections, the positive length is %d"
+                               % (len(fact), length))
     return fact
 
 

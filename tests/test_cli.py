@@ -198,6 +198,18 @@ class TestExitCodes:
         code, out = run(capsys, ["length", "--form", form, "--isometry", iso])
         assert code == 1 and out["error"] == "NotIsometry"
 
+    def test_bad_cap_environment_value_is_malformed_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALLFACT_CAP", "abc")
+        code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"])
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "WALLFACT_CAP" in out["detail"]
+
+    def test_cap_environment_value_is_applied(self, capsys, monkeypatch):
+        # O(2, F_3) has 8 elements, so a cap of 4 stops the enumeration
+        monkeypatch.setenv("WALLFACT_CAP", "4")
+        code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"])
+        assert code == 1 and out["error"] == "TooLarge"
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, capsys, f3_files):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -89,6 +90,40 @@ class TestRankKernelImage:
         for _ in range(20):
             A = random_invertible(QQ, rng, 3)
             assert A @ A.inverse() == Matrix.identity(QQ, 3)
+
+
+class TestMixedFields:
+    """Operands over different fields raise, as their scalars would."""
+
+    @pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub])
+    def test_f3_against_f5(self, op, f3, f5):
+        A = Matrix(f3, [[1, 2], [0, 1]])
+        B = Matrix(f5, [[1, 2], [0, 1]])
+        with pytest.raises(ValueError):
+            op(A, B)
+        with pytest.raises(ValueError):
+            op(B, A)
+
+    @pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub])
+    def test_rational_against_f3(self, op, f3):
+        A = Matrix(QQ, [[1, 2], [0, 1]])
+        B = Matrix(f3, [[1, 2], [0, 1]])
+        with pytest.raises(TypeError):
+            op(A, B)
+        with pytest.raises(TypeError):
+            op(B, A)
+
+    def test_solve_with_f5_right_hand_side(self, f3, f5):
+        A = Matrix(f3, [[1, 2], [0, 1]])
+        with pytest.raises(ValueError):
+            solve(A, (f5(1), f5(3)))
+
+    def test_f3_results_stay_in_f3(self, f3):
+        A = Matrix(f3, [[1, 2], [2, 2]])
+        for M in (A @ A, A + A, A - A, A.inverse(), A.rref()[0], A.transpose()):
+            assert M.field == f3
+            assert all(x.p == 3 for row in M.entries for x in row)
+        assert A.det().p == 3
 
 
 class TestSubspaces:

@@ -13,7 +13,8 @@ from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
                       positive_factorization, positive_less_equal,
                       positive_reflection_length, positivity_report,
                       reflection_length, wall_form)
-from wallfact.factor import bilinear_value
+import wallfact.positive as positive_mod
+from wallfact.factor import CertificateError, Factorization, bilinear_value
 from wallfact.positive import positive_vector_for
 from tests.conftest import random_positive_isometry
 
@@ -338,6 +339,18 @@ class TestPositiveFactorization:
         space, f = negdef_involution
         fact = positive_factorization(f)
         assert len(fact) == 4 and fact.is_positive() and fact.product() == f
+
+    def test_failed_positivity_certificate_raises(self, negdef_involution, monkeypatch):
+        space, f = negdef_involution
+        monkeypatch.setattr(Factorization, "is_positive", lambda self: False)
+        with pytest.raises(CertificateError):
+            positive_factorization(f)
+
+    def test_failed_length_certificate_raises(self, negdef_involution, monkeypatch):
+        space, f = negdef_involution
+        monkeypatch.setattr(positive_mod, "positive_reflection_length", lambda g: 5)
+        with pytest.raises(CertificateError):
+            positive_factorization(f)
 
     def test_characterization_of_positive_minimal(self, rng):
         # involutions: positive-minimal iff Mov positive definite;
