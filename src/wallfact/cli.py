@@ -3,8 +3,10 @@
 Subcommands: length, factor [--positive], spinor, classify, leq,
 interval [--describe], oracle, verify.  All input and output is JSON.
 Exit codes: 0 success, 1 domain error (singular vector, degenerate form,
-negative spinor, ...), 2 malformed input.  Domain errors are reported as
-{"error": code, "detail": message} on stdout.
+negative spinor, ...), 2 malformed input, 3 internal fault (a certificate
+or an internal invariant failed).  Domain errors are reported as
+{"error": code, "detail": message} on stdout, internal faults as
+{"error": "internal", "detail": message}.
 """
 
 from __future__ import annotations
@@ -279,6 +281,9 @@ def main(argv=None):
         code = type(exc).__name__
         print(json.dumps({"error": code, "detail": str(exc)}))
         return 1
+    except (wall_mod.CertificateError, AssertionError) as exc:
+        print(json.dumps({"error": "internal", "detail": str(exc)}))
+        return 3
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .linalg import Matrix, kernel, vec_add, vec_scale
 from .quadspace import Isometry, SingularVector
-from .wall import isometry_from_wall, moved_space, wall_form
+from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
 
 class AlternatingForm(Exception):
@@ -21,14 +21,6 @@ class AlternatingForm(Exception):
 
 class DegenerateRestriction(Exception):
     """The Wall form restricts degenerately to the requested subspace."""
-
-
-class CertificateError(Exception):
-    """A constructed result failed the check that certifies it.
-
-    Raised explicitly rather than by ``assert``, so the check also runs
-    under ``python -O``; it signals an internal fault, not bad input.
-    """
 
 
 class Factorization:
@@ -191,7 +183,8 @@ def split(f, U1, side="right"):
     f1 = isometry_from_wall(f.space, U1, chi1)
     f2 = isometry_from_wall(f.space, U2, chi2)
     recombined = f1 @ f2 if side == "right" else f2 @ f1
-    assert recombined == f, "split certificate failure"
+    if recombined != f:
+        raise CertificateError("the two factors of the split do not multiply back to f")
     return f1, f2
 
 

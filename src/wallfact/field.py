@@ -4,10 +4,12 @@ Rational scalars are plain :class:`fractions.Fraction` values (arbitrary
 precision, always in lowest terms).  Scalars in F_p are :class:`Fp`
 instances.  Both kinds support the usual arithmetic operators, so code
 above the linear-algebra layer is written once, generically.  The matrix
-kernels are not: each field has its own, and the F_p ones compute on the
-plain int residues and box results back into Fp, which is the boundary
-type that every matrix entry and returned scalar has.  A PrimeField hands
-out one shared Fp object per residue (``PrimeField.residues``).
+kernels are not: each field has its own, and neither computes with these
+objects.  The rational ones work on integer rows scaled by a common
+denominator and the F_p ones on plain int residues.  Both turn their
+results back into Fraction or Fp, the boundary types that every matrix
+entry and returned scalar has.  A PrimeField hands out one shared Fp
+object per residue (``PrimeField.residues``).
 
 Square classes (the multiplicative group of the field modulo squares) get a
 canonical representative: a square-free signed integer over the rationals,
@@ -42,8 +44,9 @@ class EmptyInterval(FieldError):
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# trial division handles everything below this bound squared
-TRIAL_DIVISION_BOUND = 10 ** 6
+# trial division handles everything below this bound squared; Pollard rho
+# finds the larger factors faster than a longer division loop would
+TRIAL_DIVISION_BOUND = 10 ** 3
 
 
 def is_prime(n):

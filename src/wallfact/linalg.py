@@ -6,20 +6,30 @@ two Subspace objects are equal (and hash alike) exactly when they describe
 the same subspace.  Everything is plain Gaussian elimination; inputs are
 desk-scale and exactness beats asymptotics here.
 
-Each field has one set of kernels (products, sums, elimination,
-determinants), chosen from the matrix's field.  Over Q they compute with
-Fraction values.  Over F_p they compute on plain int residues, reduce mod p
-once per dot product or row operation, and box results into Fp (the
-field's shared objects, ``PrimeField.residues``) only where they are stored
-in a Matrix or returned: Fp is the boundary type, and no Fp object is
-created inside an elimination.  Results built from entries that are
-already field elements skip the per-entry coercion that Matrix(field,
-entries) and Subspace(field, n, vectors) apply to outside input.
+Each field has one set of kernels (products, elimination and determinants;
+over F_p also sums), chosen from the matrix's field.  Over Q they compute
+on integer rows: a row or column of Fractions becomes a list of ints over
+one denominator, the lcm of its entries' denominators.  An entry of a
+matrix product or of a matrix-vector product is a plain int dot product
+over the product of two such denominators.  Elimination is fraction-free
+Gauss-Jordan on the integer rows, with the row's gcd divided out after each
+row operation, and each pivot row becomes Fractions once, at the end.  The
+determinant is Bareiss elimination on the integer rows, divided by the
+product of the row denominators.  Over F_p the kernels compute on plain int
+residues, reduce mod p once per dot product or row operation, and box
+results into Fp (the field's shared objects, ``PrimeField.residues``).
+Either way Fraction or Fp is the boundary type: every entry stored in a
+Matrix and every scalar returned is one, and the row operations of an
+elimination touch none.  Results built from entries that are already field
+elements skip the per-entry coercion that Matrix(field, entries) and
+Subspace(field, n, vectors) apply to outside input.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .field import PrimeField
@@ -42,7 +52,8 @@ DEFAULT_SUBSPACE_CAP = 10 ** 6
 
 # ---------------------------------------------------------------------------
 # kernels: rows in and out are lists of "kernel scalars", which are Fraction
-# values over Q and int residues in [0, p) over F_p
+# values over Q (turned into integer rows inside each kernel) and int
+# residues in [0, p) over F_p
 
 def _kernel_rows(field, rows):
     """Rows of field elements as fresh lists of kernel scalars."""
@@ -64,11 +75,11 @@ def _rref(field, rows, ncols):
 
     Returns (rows, pivots) where rows is a list of lists of kernel scalars
     with the zero rows removed and pivots the increasing list of pivot
-    columns.  The input lists are reordered and overwritten.
+    columns.  The input lists may be reordered and overwritten.
     """
     if isinstance(field, PrimeField):
         return _rref_mod(rows, ncols, field.p)
-    return _rref_rational(rows, ncols)
+    return _rref_int(rows, ncols)
 
 
 def _pivot_row(work, r, c):
@@ -80,9 +91,26 @@ def _pivot_row(work, r, c):
 
 # Row r has zeros left of column c when column c is reached (earlier columns
 # are pivots cleared in every other row, or zero from row r down), so the
-# row operations of both eliminations touch columns c.. only.
+# row operations of every elimination read columns c.. of the pivot row only.
 
-def _rref_rational(work, ncols):
+def _int_row(row):
+    """A row of rationals as (ints, d) with row = ints / d, d the lcm of the
+    denominators."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _rref_int(rows, ncols):
+    """Fraction-free Gauss-Jordan on the integer multiples of the rows, each
+    kept primitive; pivot rows become Fraction rows once, at the end."""
+    work = [_primitive(_int_row(row)[0]) for row in rows]
     nrows = len(work)
     pivots = []
     r = 0
@@ -91,20 +119,51 @@ def _rref_rational(work, ncols):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        head = work[r][:c]
-        tail = [x * inv for x in work[r][c:]]
-        work[r] = head + tail
+        prow = work[r]
+        p = prow[c]
+        ptail = prow[c:]
         for i in range(nrows):
-            t = work[i][c]
+            row = work[i]
+            t = row[c]
             if i != r and t:
-                row = work[i]
-                row[c:] = [x - t * y for x, y in zip(row[c:], tail)]
+                g = gcd(p, t)
+                a, b = p // g, t // g
+                head = row[:c] if a == 1 else [a * x for x in row[:c]]
+                work[i] = _primitive(head + [a * x - b * y for x, y in zip(row[c:], ptail)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work[:r], pivots
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)], pivots
+
+
+def _det_int(rows):
+    """Bareiss elimination on the integer multiples of the rows, divided by
+    the product of the row denominators."""
+    work = []
+    den = 1
+    for row in rows:
+        ints, d = _int_row(row)
+        work.append(ints)
+        den *= d
+    n = len(work)
+    sign = 1
+    prev = 1
+    for c in range(n):
+        pivot_row = _pivot_row(work, c, c)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            sign = -sign
+        p = work[c][c]
+        ptail = work[c][c + 1:]
+        for i in range(c + 1, n):
+            row = work[i]
+            t = row[c]
+            row[c + 1:] = [(p * x - t * y) // prev for x, y in zip(row[c + 1:], ptail)]
+        prev = p
+    return Fraction(sign * prev, den)
 
 
 def _rref_mod(work, ncols, p):
@@ -130,27 +189,6 @@ def _rref_mod(work, ncols, p):
         if r == nrows:
             break
     return work[:r], pivots
-
-
-def _det_rational(work):
-    n = len(work)
-    det = 1
-    for c in range(n):
-        pivot_row = _pivot_row(work, c, c)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        pivot = work[c][c]
-        det = det * pivot
-        tail = work[c][c:]
-        for i in range(c + 1, n):
-            if work[i][c]:
-                t = work[i][c] / pivot
-                row = work[i]
-                row[c:] = [x - t * y for x, y in zip(row[c:], tail)]
-    return det
 
 
 def _det_mod(work, p):
@@ -294,16 +332,22 @@ class Matrix:
             entries = tuple([tuple([box[sum(map(mul, r, c)) % p] for c in cols])
                              for r in [[x.value for x in row] for row in self.entries]])
         else:
-            cols = list(zip(*other.entries))
-            entries = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.entries])
+            cols = [_int_row(c) for c in zip(*other.entries)]
+            entries = tuple([tuple([Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols])
+                             for r, dr in map(_int_row, self.entries)])
         return Matrix._of(field, entries, other.cols)
 
     def apply(self, v):
         """Matrix times column vector, as a tuple."""
-        v = tuple(map(self.field, v))
+        field = self.field
+        v = tuple(map(field, v))
         if len(v) != self.cols:
             raise DimensionMismatch("vector of length %d against %d columns" % (len(v), self.cols))
-        return tuple(_dot(row, v) for row in self.entries)
+        if isinstance(field, PrimeField) or not v:
+            return tuple(_dot(row, v) for row in self.entries)
+        iv, dv = _int_row(v)
+        return tuple([Fraction(sum(map(mul, r, iv)), dr * dv)
+                      for r, dr in map(_int_row, self.entries)])
 
     def is_zero(self):
         return all(not x for row in self.entries for x in row)
@@ -325,10 +369,9 @@ class Matrix:
         if self.rows != self.cols:
             raise NonSquare("determinant of a %dx%d matrix" % (self.rows, self.cols))
         field = self.field
-        work = _kernel_rows(field, self.entries)
         if isinstance(field, PrimeField):
-            return field.residues[_det_mod(work, field.p)]
-        return field(_det_rational(work))
+            return field.residues[_det_mod(_kernel_rows(field, self.entries), field.p)]
+        return _det_int(self.entries)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -394,18 +437,34 @@ def is_zero_vector(v):
 
 def solve(A, b):
     """A particular solution x of A x = b, or None when none exists."""
+    xs = solve_all(A, [b])
+    return None if xs is None else xs[0]
+
+
+def solve_all(A, vectors):
+    """Particular solutions x_j of A x_j = b_j, one for each b_j in vectors,
+    from one elimination of [A | b_1 ... b_k]; None when some b_j has none.
+    Free variables are set to zero, so each x_j is the one solve(A, b_j)
+    returns."""
     field = A.field
-    b = tuple(map(field, b))
-    if len(b) != A.rows:
-        raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
-    aug = _kernel_rows(field, [row + (x,) for row, x in zip(A.entries, b)])
-    reduced, pivots = _rref(field, aug, A.cols + 1)
-    if A.cols in pivots:
+    vectors = [tuple(map(field, b)) for b in vectors]
+    for b in vectors:
+        if len(b) != A.rows:
+            raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
+    if not vectors:
+        return []
+    n = A.cols
+    aug = _kernel_rows(field, [row + rhs for row, rhs in zip(A.entries, zip(*vectors))])
+    reduced, pivots = _rref(field, aug, n + len(vectors))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [0] * A.cols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][A.cols]
-    return tuple(map(field, x))
+    out = []
+    for j in range(n, n + len(vectors)):
+        x = [0] * n
+        for i, c in enumerate(pivots):
+            x[c] = reduced[i][j]
+        out.append(tuple(map(field, x)))
+    return out
 
 
 def kernel(A):

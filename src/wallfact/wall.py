@@ -14,17 +14,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, image, kernel, solve
+from .linalg import Matrix, Subspace, image, kernel, solve_all
 from .quadspace import Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
 __all__ = [
-    "Isometry", "WallData", "DegenerateChi", "ChiQMismatch",
+    "Isometry", "WallData", "DegenerateChi", "ChiQMismatch", "CertificateError",
     "fixed_space", "moved_space", "wall_form", "isometry_from_wall",
     "chi_right_complement", "chi_left_complement", "spinor_norm",
     "check_wall_properties", "WallPropertyReport",
     "enumerate_isometries_with_moved_space",
 ]
+
+
+class CertificateError(Exception):
+    """A constructed result failed the check that certifies it.
+
+    Raised explicitly rather than by ``assert``, so the check also runs
+    under ``python -O``; it signals an internal fault, not bad input.
+    """
 
 
 class DegenerateChi(Exception):
@@ -146,21 +154,21 @@ class WallData:
 def wall_form(f) -> WallData:
     """The Wall form of f on the canonical basis of Mov(f).
 
-    For each basis vector u_i, some w_i with u_i = w_i - f(w_i) is found by
-    solving the displacement system; then chi[i][j] = beta(w_i, u_j).  The
-    result does not depend on the choice of w_i.
+    With the basis vectors u_i as the rows of U, one elimination of
+    [D | U^T] (D = id - f, the displacement) gives witnesses w_i with
+    u_i = w_i - f(w_i), as the rows of W; then chi = W B U^T, that is
+    chi[i][j] = beta(w_i, u_j), with B the polar matrix.  The result does
+    not depend on the choice of the w_i.
     """
     space = f.space
     D = _displacement(f)
     mov = image(D)
-    witnesses = []
-    for u in mov.basis:
-        w = solve(D, u)
-        assert w is not None, "moved-space vector outside the displacement image"
-        witnesses.append(w)
-    chi = [[space.polar(w, u) for u in mov.basis] for w in witnesses]
-    return WallData(space, mov.basis_matrix(),
-                    Matrix(space.field, chi, cols=mov.dim))
+    witnesses = solve_all(D, mov.basis)
+    if witnesses is None:
+        raise CertificateError("moved-space vector outside the displacement image")
+    U = mov.basis_matrix()
+    W = Matrix._of(space.field, tuple(witnesses), space.dim)
+    return WallData(space, U, W @ space.polar_matrix @ U.transpose())
 
 
 def isometry_from_wall(space, basis, chi) -> Isometry:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wallfact.cli import main
+from wallfact.factor import Factorization
 
 
 def write(tmp_path, name, payload):
@@ -209,6 +210,14 @@ class TestExitCodes:
         monkeypatch.setenv("WALLFACT_CAP", "4")
         code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"])
         assert code == 1 and out["error"] == "TooLarge"
+
+    def test_failed_certificate_is_internal_fault(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(Factorization, "is_positive", lambda self: False)
+        form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})
+        iso = write(tmp_path, "r.json", {"matrix": [[-1, 0], [0, 1]]})
+        code, out = run(capsys, ["factor", "--positive", "--form", form, "--isometry", iso])
+        assert code == 3 and out["error"] == "internal"
+        assert "Q(v) <= 0" in out["detail"]
 
 
 class TestDeterminism:

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import wallfact
 from wallfact import (AlternatingForm, DegenerateRestriction, Factorization,
                       Matrix, PrimeField, QQ, SingularVector, Subspace,
                       diagonal_space, is_minimal, isometry_from_wall,
@@ -253,3 +257,57 @@ class TestFactorizationCertificate:
         space2 = QuadraticSpace(QQ, split_form)
         v2 = nonsingular_vector(space2)
         assert space2.q_value(v2)
+
+
+OPTIMIZED_CERTIFICATES = r"""
+# runs under python -O, which strips assert statements: checks here raise
+from wallfact import QQ, diagonal_space, positive_factorization, split
+from wallfact import factor, quadspace, wall
+from wallfact.factor import CertificateError, Factorization
+
+if __debug__:
+    raise SystemExit("run under python -O")
+
+
+def expect_certificate_error(label, fn):
+    try:
+        fn()
+    except CertificateError:
+        return
+    raise SystemExit("%s: no CertificateError" % label)
+
+
+space = diagonal_space(QQ, [1, 1, -1])
+f = space.reflection((1, 0, 0)) @ space.reflection((0, 1, 2)) @ space.reflection((1, 1, 0))
+
+# split: both factors come back as the identity, so they cannot recombine to f
+real_from_wall = factor.isometry_from_wall
+factor.isometry_from_wall = lambda space, U, chi: quadspace.Isometry.identity(space)
+expect_certificate_error("split", lambda: split(f, wall.moved_space(f)))
+factor.isometry_from_wall = real_from_wall
+
+# wall_form: no witness found for the moved-space basis
+real_solve_all = wall.solve_all
+wall.solve_all = lambda A, vectors: None
+expect_certificate_error("wall_form", lambda: wall.wall_form(f))
+wall.solve_all = real_solve_all
+
+# positive_factorization: the positivity check of the result fails
+negdef = diagonal_space(QQ, [1, 1, -1, -1])
+g = quadspace.Isometry(negdef, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+Factorization.is_positive = lambda self: False
+expect_certificate_error("positive_factorization", lambda: positive_factorization(g))
+print("ok")
+"""
+
+
+def test_certificates_run_under_optimized_python(tmp_path):
+    script = tmp_path / "certificates.py"
+    script.write_text(OPTIMIZED_CERTIFICATES)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wallfact.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

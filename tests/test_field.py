@@ -199,6 +199,16 @@ class TestIntegerHelpers:
         assert factorize(p * q) == {p: 1, q: 1}
         assert squarefree_part(p * p * q) == q
 
+    def test_factorize_squares_of_large_primes(self):
+        # the shape of Wall-form determinants over Q: squares of primes
+        # above 10^6 times a square-free part
+        p, q, r = 1000003, 1000033, 7919
+        n = p * p * q * q * r
+        assert factorize(n) == {p: 2, q: 2, r: 1}
+        assert squarefree_part(n) == r
+        assert squarefree_part(-n) == -r
+        assert factorize(1009 ** 3 * 1013 ** 5) == {1009: 3, 1013: 5}
+
     def test_least_nonresidue(self):
         assert PrimeField(5).least_nonresidue == 2
         assert PrimeField(7).least_nonresidue == 3

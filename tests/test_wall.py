@@ -105,6 +105,52 @@ class TestWallForm:
                         assert space.polar(w2, v) == wd.chi[i, j]
 
 
+def reference_wall_form(f):
+    """The per-vector definition: w_i = solve(D, u_i), chi[i][j] = beta(w_i, u_j)."""
+    from wallfact import WallData, solve
+
+    space = f.space
+    D = Matrix.identity(space.field, space.dim) - f.matrix
+    basis = moved_space(f).basis
+    witnesses = [solve(D, u) for u in basis]
+    chi = [[space.polar(w, u) for u in basis] for w in witnesses]
+    return WallData(space, Matrix(space.field, basis, cols=space.dim),
+                    Matrix(space.field, chi, cols=len(basis)))
+
+
+def totally_singular_isometry(space, rng):
+    """Wall's construction on the totally singular plane span(e_0 + e_h, e_1 + e_{h+1})
+    of diag(1, ..., 1, -1, ..., -1) (h ones), conjugated by a random isometry."""
+    n = space.dim
+    h = n // 2
+    u1 = [1 if j in (0, h) else 0 for j in range(n)]
+    u2 = [1 if j in (1, h + 1) else 0 for j in range(n)]
+    t = rng.choice([1, 2, 3])
+    f = isometry_from_wall(space, [u1, u2], [[0, t], [-t, 0]])
+    c = random_isometry(space, rng, 3)
+    return c @ f @ c.inverse()
+
+
+class TestWallFormReference:
+    def test_random_rational_up_to_dim_10(self, rng):
+        for n in range(2, 11):
+            space = diagonal_space(QQ, [rng.choice([1, 2, -1, -3]) for _ in range(n)])
+            for _ in range(3):
+                f = random_isometry(space, rng, rng.randint(1, n))
+                assert wall_form(f) == reference_wall_form(f)
+
+    def test_totally_singular_moved_spaces(self, rng):
+        for n in (4, 6, 8, 10):
+            space = diagonal_space(QQ, [1] * (n // 2) + [-1] * (n // 2))
+            f = totally_singular_isometry(space, rng)
+            assert space.is_totally_singular(moved_space(f))
+            assert wall_form(f) == reference_wall_form(f)
+
+    def test_census_f3_d2(self, census_f3_d2):
+        for f in census_f3_d2.elements:
+            assert wall_form(f) == reference_wall_form(f)
+
+
 class TestIsometryFromWall:
     def test_empty_gives_identity(self):
         space = diagonal_space(QQ, [1, 1])
