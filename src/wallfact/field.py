@@ -286,6 +286,9 @@ class RationalField:
     characteristic = 0
     is_ordered = True
 
+    def __init__(self):
+        self.identities = {}    # n -> the n x n identity Matrix, kept by Matrix.identity
+
     def __call__(self, x):
         if isinstance(x, Fraction):
             return x
@@ -358,6 +361,7 @@ class PrimeField:
             raise ValueError("the characteristic must be an odd prime, got %r" % (p,))
         self.p = p
         self.residues = _Residues(p)
+        self.identities = {}    # n -> the n x n identity Matrix, kept by Matrix.identity
 
     @property
     def characteristic(self):

@@ -22,7 +22,8 @@ from .factor import Factorization, split
 from .linalg import Subspace, subspace_intersection, vec_scale
 from .positive import is_positive_isometry
 from .quadspace import QuadraticSpace, diagonal_space
-from .wall import fixed_space, isometry_from_wall, moved_space, wall_form
+from .wall import (CertificateError, fixed_space, isometry_from_wall, moved_space,
+                   wall_form)
 from .field import QQ
 
 
@@ -97,7 +98,9 @@ def hyperbolic_positive_factorization(f) -> Factorization:
 
     While the moved space has dimension at least two, it meets the
     coordinate hyperplane x_{n+1} = 0 non-trivially; any nonzero vector
-    there is positive and splits off one reflection.
+    there is positive and splits off one reflection.  These steps, the
+    positivity of the result and its length are checked by raising
+    CertificateError, so the checks also run under ``python -O``.
     """
     space = f.space
     _require_lorentz(space)
@@ -105,26 +108,35 @@ def hyperbolic_positive_factorization(f) -> Factorization:
         raise NotPositive("only positive isometries factor positively here")
     hyperplane = Subspace(space.field, space.dim,
                           [space.standard_basis(i) for i in range(space.dim - 1)])
+    mov = moved_space(f)
+    mov_dim = mov.dim
     vectors = []
     g = f
-    while True:
-        mov = moved_space(g)
-        if mov.dim == 0:
-            break
+    while mov.dim:
         if mov.dim == 1:
             u = mov.basis[0]
-            assert space.field.is_positive(space.q_value(u)), \
-                "a positive isometry with a line as moved space reflects positively"
+            if not space.field.is_positive(space.q_value(u)):
+                raise CertificateError("the moved line of a positive isometry is not positive")
             vectors.append(u)
             break
         meet = subspace_intersection(mov, hyperplane)
-        assert meet.dim >= mov.dim - 1 >= 1
+        if meet.dim < mov.dim - 1:
+            raise CertificateError("the moved space meets x_{n+1} = 0 in dimension %d, "
+                                   "expected at least %d" % (meet.dim, mov.dim - 1))
         v = meet.basis[0]
-        assert space.field.is_positive(space.q_value(v))
+        if not space.field.is_positive(space.q_value(v)):
+            raise CertificateError("a vector with x_{n+1} = 0 is not positive")
         line = Subspace(space.field, space.dim, [v])
         _, g = split(g, line, side="right")
         vectors.append(v)
-    return Factorization(space, vectors, target=f)
+        mov = moved_space(g)
+    fact = Factorization(space, vectors, target=f)
+    if not fact.is_positive():
+        raise CertificateError("a reflecting vector of the factorization has Q(v) <= 0")
+    if len(fact) != mov_dim:
+        raise CertificateError("the factorization has %d reflections, dim Mov(f) is %d"
+                               % (len(fact), mov_dim))
+    return fact
 
 
 def interval_subspace_test(f, U) -> bool:

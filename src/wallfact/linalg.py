@@ -255,7 +255,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls.diagonal(field, [field.one] * n)
+        """The n x n identity over field, built once per field and size:
+        matrices are immutable, so the field keeps it and hands it out again."""
+        M = field.identities.get(n)
+        if M is None:
+            M = field.identities[n] = cls.diagonal(field, [field.one] * n)
+        return M
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -421,10 +426,6 @@ def dot(u, v):
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):

@@ -6,11 +6,21 @@ subspaces of Mov(f); for a non-minimal f the open interval splits into
 disjoint blocks indexed by the not-totally-singular overspaces of Mov(f) of
 one dimension more.  Intervals are materialized over finite fields only;
 over the rationals the module exposes just the comparison predicate.
+
+A materialized interval is built from its covers, not from pairwise
+comparisons: h covers g when l(h) = l(g) + 1 and g^-1 h is a reflection,
+and the order is the reflexive-transitive closure of the covers, because
+every relation g <= h inside [id, f] is the end of a chain of covers that
+stays inside [id, f] (see ``_build_poset``).  ``less_equal`` keeps the
+pairwise definition; the tests use it as the oracle for the whole order.
+Minimal factorizations of f are the maximal chains of [id, f], so
+``IntervalPoset.maximal_chain_count`` counts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from .factor import is_minimal, reflection_length
 from .field import PrimeField
@@ -63,35 +73,39 @@ def admissible_subspaces(f, cap=None):
 class IntervalPoset:
     """A materialized interval [id, f] with its order relation.
 
-    elements[0] is the identity and elements[-1] is f.  rank is the
-    reflection length.  blocks is the non-minimal partition of the open
-    interval (None when f is minimal): a list of (overspace, element index
-    list) pairs with no order relations across blocks.
+    elements[0] is the identity and elements[-1] is f; elements are sorted
+    by rank, then by entries.  rank is the reflection length.  covers lists
+    the pairs (i, j), in increasing order, with elements[i] <= elements[j]
+    and rank[j] == rank[i] + 1.  blocks is the non-minimal partition of the
+    open interval (None when f is minimal): a list of (overspace, element
+    index list) pairs with no order relations across blocks.
     """
 
     isometry: Isometry
     elements: tuple
     leq: tuple          # leq[i][j] is True when elements[i] <= elements[j]
     rank: tuple
+    covers: tuple
     blocks: list | None = None
-    covers: tuple = dataclass_field(default=())
-
-    def __post_init__(self):
-        if not self.covers:
-            self.covers = tuple(
-                (i, j)
-                for i in range(len(self.elements))
-                for j in range(len(self.elements))
-                if self.leq[i][j] and self.rank[j] == self.rank[i] + 1)
 
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, g):
-        for i, h in enumerate(self.elements):
-            if h == g:
-                return i
-        return None
+    def maximal_chain_count(self) -> int:
+        """Number of maximal chains id = g_0 < g_1 < ... < g_k = f.
+
+        Each chain gives the minimal reflection factorization
+        f = (g_0^-1 g_1)(g_1^-1 g_2)...(g_{k-1}^-1 g_k), and each minimal
+        factorization r_1...r_k gives the chain of its prefixes, so this is
+        the number of minimal reflection factorizations of f.  Covers are
+        sorted by their lower end, which precedes their upper end, so every
+        count is complete before it is passed on.
+        """
+        chains = [0] * len(self.elements)
+        chains[0] = 1
+        for i, j in self.covers:
+            chains[j] += chains[i]
+        return chains[-1]
 
     def to_json_dict(self):
         return {
@@ -117,13 +131,44 @@ def _sort_key(g):
 
 
 def _build_poset(f, elements, blocks=None):
-    elements = sorted(elements, key=lambda g: (reflection_length(g), _sort_key(g)))
-    ranks = tuple(reflection_length(g) for g in elements)
-    leq_rows = tuple(tuple(less_equal(g, h) for h in elements) for g in elements)
+    """The poset on the elements of [id, f], from covers and their closure.
+
+    Each element's length and inverse are computed once.  Only pairs one
+    rank apart are tested: (i, j) is a cover when elements[i]^-1 elements[j]
+    is a reflection.  The order is the reflexive-transitive closure of the
+    covers, kept as one bitset per element of the elements below it, filled
+    in rank order from the bitsets of its lower covers.
+
+    This is exact.  A chain of covers gives a relation, since <= is
+    transitive: l(c) <= l(a) + l(a^-1 c) <= l(a) + l(a^-1 b) + l(b^-1 c)
+    = l(c) when a <= b <= c.  Conversely take g <= h in [id, f], and write
+    g^-1 h = r_1...r_k with k = l(g^-1 h) = l(h) - l(g).  Then
+    g_i = g r_1...r_i has l(g_i) <= l(g) + i and l(g_i^-1 h) <= k - i, and
+    both are equalities since l(h) <= l(g_i) + l(g_i^-1 h).  So
+    g <= g_i <= h, each g_i lies in [g, h], which lies in [id, f], and
+    g_{i-1}^-1 g_i = r_i: the materialized interval holds the chain of
+    covers g = g_0, g_1, ..., g_k = h.
+    """
+    ranked = sorted(((reflection_length(g), _sort_key(g), g) for g in elements),
+                    key=lambda t: t[:2])
+    ranks = tuple(r for r, _, _ in ranked)
+    elements = tuple(g for _, _, g in ranked)
+    inverses = [g.inverse() for g in elements]
+    covers = []
+    below = []              # below[j] has bit i set when elements[i] <= elements[j]
+    for j, h in enumerate(elements):
+        bits = 1 << j
+        for i in range(bisect_left(ranks, ranks[j] - 1), bisect_left(ranks, ranks[j])):
+            if reflection_length(inverses[i] @ h) == 1:
+                covers.append((i, j))
+                bits |= below[i]
+        below.append(bits)
+    leq_rows = tuple(tuple(bool(below[j] >> i & 1) for j in range(len(elements)))
+                     for i in range(len(elements)))
     if blocks is not None:
         index = {g.key(): i for i, g in enumerate(elements)}
         blocks = [(W, sorted(index[g.key()] for g in members)) for W, members in blocks]
-    return IntervalPoset(f, tuple(elements), leq_rows, ranks, blocks)
+    return IntervalPoset(f, elements, leq_rows, ranks, tuple(sorted(covers)), blocks)
 
 
 def codimension_one_overspaces(f):
@@ -174,6 +219,7 @@ def interval(f, cap=None) -> IntervalPoset:
         return _build_poset(f, elements)
     identity = Isometry.identity(space)
     mov = moved_space(f)
+    length = reflection_length(f)
     blocks = []
     elements = {identity.key(): identity, f.key(): f}
     kwargs = {} if cap is None else {"cap": cap}
@@ -187,7 +233,7 @@ def interval(f, cap=None) -> IntervalPoset:
             for g in enumerate_isometries_with_moved_space(space, U):
                 if g == f or g.is_identity():
                     continue
-                if less_equal(g, f):
+                if reflection_length(g) + reflection_length(g.inverse() @ f) == length:
                     members.append(g)
                     elements[g.key()] = g
         if members:

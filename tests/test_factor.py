@@ -262,7 +262,7 @@ class TestFactorizationCertificate:
 OPTIMIZED_CERTIFICATES = r"""
 # runs under python -O, which strips assert statements: checks here raise
 from wallfact import QQ, diagonal_space, positive_factorization, split
-from wallfact import factor, quadspace, wall
+from wallfact import factor, hyperbolic, linalg, quadspace, wall
 from wallfact.factor import CertificateError, Factorization
 
 if __debug__:
@@ -295,8 +295,21 @@ wall.solve_all = real_solve_all
 # positive_factorization: the positivity check of the result fails
 negdef = diagonal_space(QQ, [1, 1, -1, -1])
 g = quadspace.Isometry(negdef, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+real_is_positive = Factorization.is_positive
 Factorization.is_positive = lambda self: False
 expect_certificate_error("positive_factorization", lambda: positive_factorization(g))
+
+# hyperbolic_positive_factorization: the same end check, on a Lorentz boost
+lorentz = hyperbolic.lorentz_space(3)
+boost = hyperbolic.hyperbolic_example(lorentz)
+expect_certificate_error("hyperbolic_positive_factorization",
+                         lambda: hyperbolic.hyperbolic_positive_factorization(boost))
+Factorization.is_positive = real_is_positive
+
+# hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
+hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)
+expect_certificate_error("hyperbolic_positive_factorization loop",
+                         lambda: hyperbolic.hyperbolic_positive_factorization(boost))
 print("ok")
 """
 

@@ -236,6 +236,73 @@ class TestInterval:
             interval(space.identity_isometry())
 
 
+def shortest_word_counts(census):
+    """Number of shortest reflection words of each element, by BFS levels.
+
+    The census lists its elements in BFS order, so an element's count is
+    complete before any word is extended past it.
+    """
+    counts = {census.identity().key(): 1}
+    for g in census.elements:
+        d = census.length_of(g)
+        for _, r in census.reflections:
+            h = g @ r
+            if census.length_of(h) == d + 1:
+                counts[h.key()] = counts.get(h.key(), 0) + counts[g.key()]
+    return counts
+
+
+def assert_order_is_pairwise_definition(poset):
+    elements = poset.elements
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            assert poset.leq[i][j] == less_equal(elements[i], elements[j]), (i, j)
+    expected_covers = tuple((i, j) for i in range(n) for j in range(n)
+                            if poset.leq[i][j] and poset.rank[j] == poset.rank[i] + 1)
+    assert poset.covers == expected_covers
+
+
+@pytest.fixture(scope="module")
+def nonminimal_poset(nonminimal_f3):
+    return interval(nonminimal_f3[1])
+
+
+class TestOrderFromCovers:
+    """The closure of the covers against the pairwise definition of <=."""
+
+    def test_every_interval_of_o3_f3(self, census_f3_d3):
+        for f in census_f3_d3.elements:
+            assert_order_is_pairwise_definition(interval(f))
+
+    def test_nonminimal_interval(self, nonminimal_poset):
+        assert len(nonminimal_poset) == 94
+        assert_order_is_pairwise_definition(nonminimal_poset)
+
+
+class TestMaximalChainCount:
+    """Maximal chains of [id, f] are the minimal reflection factorizations of f."""
+
+    def test_every_element_of_o3_f3(self, census_f3_d3):
+        words = shortest_word_counts(census_f3_d3)
+        for f in census_f3_d3.elements:
+            assert interval(f).maximal_chain_count() == words[f.key()]
+
+    def test_nonminimal_interval(self, nonminimal_poset, census_f3_d4):
+        f = nonminimal_poset.isometry
+        count = nonminimal_poset.maximal_chain_count()
+        assert count == shortest_word_counts(census_f3_d4)[f.key()]
+        assert count == 216
+
+    def test_small_cases(self, f3, census_f3_d2):
+        space = diagonal_space(f3, [1, 1])
+        assert interval(space.identity_isometry()).maximal_chain_count() == 1
+        assert interval(space.reflection((1, 0))).maximal_chain_count() == 1
+        from wallfact import Isometry
+        rotation = Isometry(census_f3_d2.space, [[0, -1], [1, 0]])
+        assert interval(rotation).maximal_chain_count() == 4
+
+
 class TestExports:
     def test_dot_and_json(self, f3):
         space = diagonal_space(f3, [1, 1])
