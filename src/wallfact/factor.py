@@ -72,16 +72,20 @@ def bilinear_value(X, u, v):
     return acc
 
 
+def form_row(X, u):
+    """The row u X, so that u X y^T is its dot product with y."""
+    return X.transpose().apply(u)
+
+
 def right_complement_rows(X, u):
     """RREF basis rows of {y : u X y^T = 0} in coordinates."""
-    row = tuple(bilinear_value(X, u, _unit(X.field, X.rows, j)) for j in range(X.rows))
-    return kernel(Matrix(X.field, [row], cols=X.rows)).basis
+    return kernel(Matrix._of(X.field, (form_row(X, u),), X.rows)).basis
 
 
 def restrict_bilinear(X, rows):
-    """Matrix of the form on the given coordinate rows."""
-    return Matrix(X.field, [[bilinear_value(X, r, s) for s in rows] for r in rows],
-                  cols=len(rows))
+    """Matrix C X C^T of the form on the coordinate rows C."""
+    C = Matrix(X.field, rows, cols=X.rows)
+    return C @ X @ C.transpose()
 
 
 def _unit(field, n, i):

@@ -10,10 +10,22 @@ The constructive core: a triangular basis of chi consisting of positive
 vectors, built by induction.  The three-dimensional step finds an
 orthogonal pair of positive vectors in a non-symmetric form; the inductive
 step perturbs that pair into every coordinate direction (keeping positivity
-and orthogonality) until the right complement of a probe carries a
-non-symmetric restriction.  All comparisons are exact rational arithmetic;
-square density of the rationals enters only through the integer square
-search of rational_square_in_interval.
+and orthogonality) until the right complement of a probe u carries a
+non-symmetric restriction, and recurses on that restriction.
+
+The induction needs some basis of each right complement, not a particular
+one: non-symmetry, the sign of the determinant and the triangular property
+of the vectors found in the complement do not depend on the basis, and
+those vectors are mapped back through it.  So every complement here is the
+integer lattice {y : a . y = 0}, a the row u X scaled to integers, with an
+LLL-reduced basis (``lattice.kernel_basis``).  Its short rows keep the
+restricted forms C X C^T small, where an echelon basis of the complement
+roughly doubles their coefficient size at every level of the induction.
+
+All comparisons are exact rational arithmetic; square density of the
+rationals enters only through the integer square search of
+rational_square_in_interval.  The internal checks of the construction
+raise CertificateError, so they also run under python -O.
 """
 
 from __future__ import annotations
@@ -21,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import (CertificateError, Factorization, bilinear_value, nonalternating_witness,
-                     restrict_bilinear, right_complement_rows, triangular_basis,
+from .factor import (CertificateError, Factorization, bilinear_value, form_row,
+                     nonalternating_witness, restrict_bilinear, triangular_basis,
                      _triangular_rec, _unit)
 from .field import rational_square_in_interval
-from .linalg import Matrix, Subspace, solve, subspace_intersection, vec_add, vec_scale
+from .lattice import kernel_basis
+from .linalg import (Matrix, Subspace, kernel, solve, subspace_intersection, vec_add,
+                     vec_scale, _int_row)
 from .quadspace import lagrange_diagonalize
 from .wall import fixed_space, moved_space, spinor_norm, wall_form
 
@@ -103,8 +117,26 @@ def positive_vector_for(X):
     return None
 
 
+def _certify(condition, message):
+    """An internal check that also runs under python -O."""
+    if not condition:
+        raise CertificateError(message)
+
+
+def right_complement_rows(X, u):
+    """An LLL-reduced basis of the integer rows y with u X y^T = 0 (over Q).
+
+    The row u X is scaled to integers over the lcm of its denominators, which
+    leaves its kernel unchanged; the reduced kernel rows come back as
+    Fractions.  Any basis of the complement serves the constructions here,
+    and a short integer one keeps the restricted forms small.
+    """
+    a, _ = _int_row(form_row(X, u))
+    return tuple(tuple(map(Fraction, y)) for y in kernel_basis(a))
+
+
 def left_complement_rows(X, u):
-    """RREF basis rows of {y : y X u^T = 0} in coordinates."""
+    """An LLL-reduced basis of the integer rows y with y X u^T = 0 (over Q)."""
     return right_complement_rows(X.transpose(), u)
 
 
@@ -148,7 +180,7 @@ def basis_with_one_positive_vector(X):
         a = vu if vu else field.one
         u = vec_add(u, vec_scale(a, v))
     else:
-        raise AssertionError("triangular repair did not terminate")
+        raise CertificateError("triangular repair did not terminate")
     rest = _triangular_rec(XR, wit)
     out = [u]
     for local in rest:
@@ -167,9 +199,9 @@ class PositivePair:
 
 
 def _check_pair(X, v1, v2):
-    assert bilinear_value(X, v1, v1) > 0, "first vector not positive"
-    assert bilinear_value(X, v2, v2) > 0, "second vector not positive"
-    assert not bilinear_value(X, v1, v2), "pair not right-orthogonal"
+    _certify(bilinear_value(X, v1, v1) > 0, "first vector not positive")
+    _certify(bilinear_value(X, v2, v2) > 0, "second vector not positive")
+    _certify(not bilinear_value(X, v1, v2), "pair not right-orthogonal")
 
 
 def orthogonal_positive_pair_3d(X) -> PositivePair:
@@ -195,7 +227,7 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
     right = right_complement_rows(X, e1)
     left = left_complement_rows(X, e1)
     both = subspace_intersection(Subspace(field, 3, right), Subspace(field, 3, left))
-    assert both.dim >= 1
+    _certify(both.dim >= 1, "the two complements of the first vector meet in zero")
     e2 = both.basis[0]
     d2 = bilinear_value(X, e2, e2)
     if d2 > 0:
@@ -206,7 +238,7 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
     if not d2:
         # second vector is null; find a non-null direction in the right complement
         wit = nonalternating_witness(restrict_bilinear(X, right))
-        assert wit is not None, "complement of the first vector turned alternating"
+        _certify(wit is not None, "complement of the first vector turned alternating")
         e3 = _combine(wit, right, field, 3)
         t3 = bilinear_value(X, e3, e3)
         if t3 > 0:
@@ -218,7 +250,7 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
         a = bilinear_value(X, e3, e1)
         b = bilinear_value(X, e3, e2)
         c = bilinear_value(X, e2, e3)
-        assert b and c, "degenerate middle block"
+        _certify(b and c, "degenerate middle block")
         if not a:
             # chi(e3, e1) = 0 puts e3 in both complements; restart the
             # negative-second-vector route with it
@@ -242,18 +274,12 @@ def _case_negative(X, e1, e2):
     field = X.field
     gamma = bilinear_value(X, e1, e1)
     delta = -bilinear_value(X, e2, e2)
-    assert delta > 0
-    rows = [
-        tuple(bilinear_value(X, e1, _unit(field, 3, j)) for j in range(3)),
-        tuple(bilinear_value(X, e2, _unit(field, 3, j)) for j in range(3)),
-    ]
-    from .linalg import kernel
-
-    plane_comp = kernel(Matrix(field, rows, cols=3))
-    assert plane_comp.dim == 1
+    _certify(delta > 0, "the second vector is not negative")
+    plane_comp = kernel(Matrix._of(field, (form_row(X, e1), form_row(X, e2)), 3))
+    _certify(plane_comp.dim == 1, "the two rows of the plane complement are dependent")
     e3 = plane_comp.basis[0]
     t = bilinear_value(X, e3, e3)
-    assert t, "degenerate form: null vector right-orthogonal to everything"
+    _certify(t, "degenerate form: null vector right-orthogonal to everything")
     if t > 0:
         pair = PositivePair(e1, e3, "immediate")
         _check_pair(X, pair.v1, pair.v2)
@@ -261,7 +287,7 @@ def _case_negative(X, e1, e2):
     eps = -t
     a = bilinear_value(X, e3, e1)
     b = bilinear_value(X, e3, e2)
-    assert a or b, "diagonal form is symmetric"
+    _certify(a or b, "diagonal form is symmetric")
     if b * b >= 4 * delta * eps:
         q0 = delta / gamma + 1
         case = "case2-large-b"
@@ -290,16 +316,13 @@ def perturb_orthogonal_pair(X, v1, v2, u):
     """
     field = X.field
     m = X.rows
-    assert not bilinear_value(X, v1, v2), "input pair is not orthogonal"
+    _certify(not bilinear_value(X, v1, v2), "input pair is not orthogonal")
     if Matrix(field, [v1, u], cols=m).rank() <= 1:
         return tuple(field.zero for _ in range(m))
-    rows = [
-        tuple(bilinear_value(X, v1, _unit(field, m, j)) for j in range(m)),
-        tuple(bilinear_value(X, u, _unit(field, m, j)) for j in range(m)),
-    ]
+    rows = (form_row(X, v1), form_row(X, u))
     rhs = (-bilinear_value(X, u, v2), field.zero)
-    w = solve(Matrix(field, rows, cols=m), rhs)
-    assert w is not None, "perturbation system is always solvable for independent v1, u"
+    w = solve(Matrix._of(field, rows, m), rhs)
+    _certify(w is not None, "perturbation system is always solvable for independent v1, u")
     return w
 
 
@@ -311,7 +334,7 @@ def perturb_positive_vector(X, v, u):
     terms of the expansion stays below chi(v, v)/3 in absolute value.
     """
     cv = bilinear_value(X, v, v)
-    assert cv > 0, "the vector to perturb must be positive"
+    _certify(cv > 0, "the vector to perturb must be positive")
     M = max(abs(bilinear_value(X, u, v)), abs(bilinear_value(X, v, u)),
             abs(bilinear_value(X, u, u)), Fraction(1))
     return min(Fraction(1), Fraction(cv) / (3 * M))
@@ -349,14 +372,29 @@ def positive_basis(X):
 
 
 def _positive_basis_rec(X):
+    """The induction of positive_basis on a form X with a positive basis.
+
+    Dimensions 1 and 2 are direct.  From dimension 3 on, a positive,
+    right-orthogonal pair (v1, v2) comes from a three-dimensional
+    restriction, and the probes u = v1 + a e_k (with partner v2 + a w_k,
+    still positive and orthogonal for the small a chosen) run through the
+    coordinate directions until the right complement of u carries a
+    non-symmetric form.  Its determinant has the sign of det X, since
+    X(u, u) > 0 and the basis (u, complement) is block triangular for X.
+    The recursion on that complement may use any of its bases: the one
+    taken is an LLL-reduced integer kernel basis, so the recursive form
+    C X C^T stays small, and the vectors it returns are mapped back through
+    C to coordinates of X.
+    """
     field = X.field
     m = X.rows
     if m == 1:
-        assert X[0, 0] > 0
+        _certify(X[0, 0] > 0, "a positive form of dimension 1 has a positive entry")
         return [_unit(field, 1, 0)]
     if m == 2:
         rows = basis_with_one_positive_vector(X)
-        assert bilinear_value(X, rows[1], rows[1]) > 0, "det > 0 forces the second square positive"
+        _certify(bilinear_value(X, rows[1], rows[1]) > 0,
+                 "det > 0 forces the second square positive")
         return rows
     basis = basis_with_one_positive_vector(X)
     T = restrict_bilinear(X, basis)
@@ -368,7 +406,7 @@ def _positive_basis_rec(X):
                 break
         if pick:
             break
-    assert pick is not None, "triangular and symmetric would be diagonal"
+    _certify(pick is not None, "triangular and symmetric would be diagonal")
     r, c = pick
     if c == 0:
         i, j = (1, r) if r >= 2 else (1, 2)
@@ -393,17 +431,17 @@ def _positive_basis_rec(X):
         XR = restrict_bilinear(X, R)
         if XR.is_symmetric():
             continue
-        assert bilinear_value(X, u, u) > 0
-        assert bilinear_value(X, partner, partner) > 0
-        assert not bilinear_value(X, u, partner)
-        assert XR.det() > 0, "sign of the complement determinant must stay positive"
+        _certify(bilinear_value(X, u, u) > 0, "the probe is not positive")
+        _certify(bilinear_value(X, partner, partner) > 0, "the probe's partner is not positive")
+        _certify(not bilinear_value(X, u, partner), "the probe and its partner are not orthogonal")
+        _certify(XR.det() > 0, "sign of the complement determinant must stay positive")
         rest = _positive_basis_rec(XR)
         out = [u]
         for local in rest:
             out.append(_combine(local, R, field, m))
         return out
-    raise AssertionError("every probe had a symmetric complement; "
-                         "impossible for a non-symmetric form in dimension >= 3")
+    raise CertificateError("every probe had a symmetric complement; "
+                           "impossible for a non-symmetric form in dimension >= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +493,8 @@ def _positive_vector_outside_fix(f):
              if not fix.contains(space.standard_basis(i)))
     a = perturb_positive_vector(space.gram, v0, u) / 2
     v = vec_add(v0, vec_scale(a, u))
-    assert space.field.is_positive(space.q_value(v)) and not fix.contains(v)
+    _certify(space.field.is_positive(space.q_value(v)) and not fix.contains(v),
+             "the perturbed vector is not positive or is fixed")
     return v
 
 
@@ -493,7 +532,7 @@ def positive_factorization(f) -> Factorization:
         v = _positive_vector_outside_fix(f)
         g = space.reflection(v) @ f
         wg = wall_form(g)
-        assert not wg.is_symmetric(), "a non-fixed direction forces non-symmetry"
+        _certify(not wg.is_symmetric(), "a non-fixed direction forces non-symmetry")
         coords = positive_basis(wg.chi)
         vectors = [v] + [_mov_vector(wg, crd) for crd in coords]
         fact = Factorization(space, vectors, target=f)

@@ -262,7 +262,7 @@ class TestFactorizationCertificate:
 OPTIMIZED_CERTIFICATES = r"""
 # runs under python -O, which strips assert statements: checks here raise
 from wallfact import QQ, diagonal_space, positive_factorization, split
-from wallfact import factor, hyperbolic, linalg, quadspace, wall
+from wallfact import factor, hyperbolic, linalg, positive, quadspace, wall
 from wallfact.factor import CertificateError, Factorization
 
 if __debug__:
@@ -310,6 +310,23 @@ Factorization.is_positive = real_is_positive
 hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)
 expect_certificate_error("hyperbolic_positive_factorization loop",
                          lambda: hyperbolic.hyperbolic_positive_factorization(boost))
+
+
+# _positive_basis_rec: every restriction reports the opposite determinant sign,
+# so the complement of the first probe fails the det > 0 check
+class FlippedDet(linalg.Matrix):
+    __slots__ = ()
+
+    def det(self):
+        return -linalg.Matrix.det(self)
+
+
+real_restrict = positive.restrict_bilinear
+positive.restrict_bilinear = lambda X, rows: FlippedDet._of(
+    QQ, real_restrict(X, rows).entries, len(rows))
+chi = linalg.Matrix(QQ, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+expect_certificate_error("_positive_basis_rec", lambda: positive.positive_basis(chi))
+positive.restrict_bilinear = real_restrict
 print("ok")
 """
 

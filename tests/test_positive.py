@@ -15,6 +15,7 @@ from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
                       reflection_length, wall_form)
 import wallfact.positive as positive_mod
 from wallfact.factor import CertificateError, Factorization, bilinear_value
+from wallfact.hyperbolic import lorentz_space
 from wallfact.positive import positive_vector_for
 from tests.conftest import random_positive_isometry
 
@@ -379,6 +380,39 @@ class TestPositiveFactorization:
             assert fact.product() == f
             assert fact.is_positive()
             assert len(fact) == positive_reflection_length(f)
+
+
+def output_bits(fact):
+    """Largest numerator or denominator bit size among the reflecting vectors."""
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+               for v in fact.vectors for x in v)
+
+
+class TestCoefficientGrowth:
+    """positive_basis takes each complement as a reduced integer kernel, so
+    the restricted forms do not double in size from one level to the next."""
+
+    def test_dim10_lorentz_seed(self):
+        # the 2nd draw of Random(1): with RREF complements it took minutes
+        # and reached 133,768 bits
+        rng = random.Random(1)
+        random_positive_isometry(lorentz_space(9), rng, 10)
+        f = random_positive_isometry(lorentz_space(9), rng, 10)
+        fact = positive_factorization(f)
+        assert fact.product() == f and fact.is_positive()
+        assert len(fact) == positive_reflection_length(f) == 10
+        assert output_bits(fact) <= 2000
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("negatives", [1, 2])
+    def test_output_bits_stay_bounded(self, n, negatives):
+        space = diagonal_space(QQ, [1] * (n - negatives) + [-1] * negatives)
+        rng = random.Random(100 * negatives + n)
+        for _ in range(3):
+            f = random_positive_isometry(space, rng, n + 1)
+            fact = positive_factorization(f)
+            assert fact.product() == f and fact.is_positive()
+            assert output_bits(fact) <= 8000
 
 
 class TestPositiveOrder:
