@@ -467,6 +467,7 @@ def rational_square_in_interval(a, b):
         q = Fraction(k, N)
         if q * q < b:
             # k was chosen just above floor(a*N^2), so q*q > a automatically
-            assert q * q > a
+            if q * q <= a:
+                raise AssertionError("square search returned %s, not above %s" % (q, a))
             return q
         N *= 2

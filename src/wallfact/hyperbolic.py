@@ -203,7 +203,11 @@ class IntervalDescription:
 
 
 def parabolic_interval_description(f) -> IntervalDescription:
-    """The simplified membership record for the interval below f."""
+    """The simplified membership record for the interval below f.
+
+    The checks on the fixed line and its hyperplane raise CertificateError,
+    so they also run under ``python -O``.
+    """
     kind = classify(f)
     mov = moved_space(f)
     if kind != HyperbolicClass.PARABOLIC:
@@ -211,8 +215,9 @@ def parabolic_interval_description(f) -> IntervalDescription:
     space = f.space
     fix = fixed_space(f)
     line = subspace_intersection(fix, mov)
-    assert line.dim == 1 and space.is_totally_singular(line), \
-        "a parabolic isometry fixes exactly one singular line of its moved space"
+    if line.dim != 1 or not space.is_totally_singular(line):
+        raise CertificateError("a parabolic isometry fixes exactly one singular line "
+                               "of its moved space")
     v = line.basis[0]
     # points at infinity are projective: normalize the last coordinate to 1
     if v[-1]:
@@ -225,10 +230,13 @@ def parabolic_interval_description(f) -> IntervalDescription:
 
     D = Matrix.identity(space.field, space.dim) - f.matrix
     w = solve(D, v)
-    assert w is not None
+    if w is None:
+        raise CertificateError("the fixed line of a parabolic isometry is not a displacement")
     polar_rows = [tuple(space.polar_matrix.apply(w))]
     w_perp = _kernel_of_rows(space, polar_rows)
-    assert hyperplane == subspace_intersection(w_perp, mov)
+    if hyperplane != subspace_intersection(w_perp, mov):
+        raise CertificateError("the right complement of the fixed line is not the polar "
+                               "hyperplane of its displacement witness")
     return IntervalDescription(kind, mov.dim, f, fixed_line=v, hyperplane=hyperplane)
 
 

@@ -620,7 +620,8 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("the Gaussian binomial [%d, %d]_%d is not an integer" % (n, k, q))
     return num // den
 
 

@@ -6,11 +6,17 @@ the independent yardstick the structural formulas are tested against:
 lengths, the spinor homomorphism, the Wall bijection, and interval
 membership.  A second, even dumber oracle enumerates all matrices column by
 column with form-preservation constraints.
+
+The BFS never multiplies matrices.  Left multiplication by a reflection r
+acts on each column separately, (r g)[:, j] = r (g[:, j]), and v -> r v is a
+bijection of F_p^n.  So while the search runs an element is the tuple of its
+n column codes (a column as a base-p integer), and r g is n lookups in a
+table of r's action on codes, filled as columns are met.  Boxed
+``Isometry`` objects are built once per element when the search ends.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .field import PrimeField
@@ -67,28 +73,88 @@ class GroupCensus:
 
 
 def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
-    """BFS closure of the reflections; records word lengths from the identity."""
-    if not isinstance(space.field, PrimeField):
+    """BFS closure of the reflections; records word lengths from the identity.
+
+    Column permutation is exact.  Column j of r g is r times column j of g,
+    and v -> r v permutes F_p^n, so left multiplication by r applies one
+    permutation to each column code; the base-p code is a bijection of F_p^n
+    onto [0, p^n), so two elements have equal code tuples exactly when they
+    are equal matrices.  Elements and generators are visited in the order of
+    the search by products ``r @ g`` keyed by ``key()``, so ``elements`` and
+    ``bfs_length`` are the ones that search finds.
+
+    Each reflection's table is filled on first lookup, so it holds only the
+    distinct columns of the elements it multiplied: at most n |G| codes, and
+    at most the vectors v with Q(v) among the Q(e_j), since an isometry
+    keeps Q(g e_j) = Q(e_j).  There is never an eager p^n table.  Raises
+    TooLarge once more than ``cap`` elements are found.
+    """
+    field = space.field
+    if not isinstance(field, PrimeField):
         raise TypeError("group enumeration needs a finite field")
     gens = reflection_generators(space)
     gens.sort(key=lambda pair: tuple(str(x) for x in pair[0]))
-    identity = Isometry.identity(space)
-    lengths = {identity.key(): 0}
-    elements = [identity]
-    queue = deque([identity])
-    while queue:
-        g = queue.popleft()
-        d = lengths[g.key()]
-        for _, r in gens:
-            h = r @ g
-            k = h.key()
-            if k not in lengths:
-                lengths[k] = d + 1
-                elements.append(h)
-                queue.append(h)
-                if len(elements) > cap:
+    p, n = field.p, space.dim
+    tables = [_ColumnImages(r, p) for _, r in gens]
+    identity = tuple(p ** (n - 1 - j) for j in range(n))    # codes of e_0 .. e_{n-1}
+    lengths = {identity: 0}
+    order = [identity]
+    for g in order:                 # the list grows behind the cursor: it is the queue
+        d = lengths[g] + 1
+        for table in tables:
+            h = tuple(map(table.__getitem__, g))
+            if h not in lengths:
+                lengths[h] = d
+                order.append(h)
+                if len(order) > cap:
                     raise TooLarge("group exceeds the cap of %d elements" % cap)
-    return GroupCensus(space, tuple(elements), tuple(gens), lengths)
+    columns = {}                    # code -> the column as a tuple of Fp
+    box = field.residues
+    elements = []
+    bfs_length = {}
+    for g in order:
+        cols = []
+        for code in g:
+            col = columns.get(code)
+            if col is None:
+                col = columns[code] = tuple(box[x] for x in _digits(code, p, n))
+            cols.append(col)
+        f = Isometry(space, Matrix._of(field, tuple(zip(*cols)), n), _checked=True)
+        elements.append(f)
+        bfs_length[f.key()] = lengths[g]
+    return GroupCensus(space, tuple(elements), tuple(gens), bfs_length)
+
+
+def _digits(code, p, n):
+    """The residue vector of length n whose base-p code is ``code``."""
+    v = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, v[i] = divmod(code, p)
+    return v
+
+
+class _ColumnImages(dict):
+    """Code of r v for the code of a column v, for one reflection r.
+
+    Filled on first lookup of each code (``__missing__``), so its size is
+    the number of distinct columns the search multiplied by r.
+    """
+
+    __slots__ = ("rows", "p")
+
+    def __init__(self, r, p):
+        super().__init__()
+        self.rows = [[x.value for x in row] for row in r.matrix.entries]
+        self.p = p
+
+    def __missing__(self, code):
+        p = self.p
+        v = _digits(code, p, len(self.rows))
+        image = 0
+        for row in self.rows:
+            image = image * p + sum(a * b for a, b in zip(row, v)) % p
+        self[code] = image
+        return image
 
 
 def exhaustive_isometries(space):
@@ -286,33 +352,34 @@ def verify_order_against_lengths(census, f) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # census cache
 
+CENSUS_FORMAT_VERSION = 2      # files without a version predate it and are recomputed
+
+
 def census_cache_key(space):
-    """Stable key for a census file: characteristic and a form digest."""
+    """Stable key for a census file: format version, characteristic and a
+    form digest.  A file whose key differs in any field is recomputed."""
     import hashlib
 
     payload = repr((space.field.p, tuple(tuple(x.value for x in row)
                                          for row in space.gram.entries)))
-    return {"p": space.field.p,
+    return {"version": CENSUS_FORMAT_VERSION, "p": space.field.p,
             "form_hash": hashlib.sha256(payload.encode()).hexdigest()}
 
 
 def save_census(census, path):
     import json
 
-    key = census_cache_key(census.space)
-    data = {
-        "p": key["p"],
-        "form_hash": key["form_hash"],
-        "elements": [[[x.value for x in row] for row in f.matrix.entries]
-                     for f in census.elements],
-        "lengths": [census.length_of(f) for f in census.elements],
-    }
+    data = census_cache_key(census.space)
+    data["elements"] = [[[x.value for x in row] for row in f.matrix.entries]
+                        for f in census.elements]
+    data["lengths"] = [census.length_of(f) for f in census.elements]
     with open(path, "w") as handle:
         json.dump(data, handle)
 
 
 def load_census(space, path):
-    """Rebuild a census from a cache file; None when the key does not match."""
+    """Rebuild a census from a cache file; None when the key does not match,
+    including a file of another format version or of none."""
     import json
     import os
 
@@ -321,7 +388,7 @@ def load_census(space, path):
     with open(path) as handle:
         data = json.load(handle)
     key = census_cache_key(space)
-    if data.get("p") != key["p"] or data.get("form_hash") != key["form_hash"]:
+    if any(data.get(name) != value for name, value in key.items()):
         return None
     elements = tuple(Isometry(space, rows) for rows in data["elements"])
     lengths = {f.key(): d for f, d in zip(elements, data["lengths"])}

@@ -306,6 +306,15 @@ expect_certificate_error("hyperbolic_positive_factorization",
                          lambda: hyperbolic.hyperbolic_positive_factorization(boost))
 Factorization.is_positive = real_is_positive
 
+# parabolic_interval_description: the polar hyperplane of the displacement
+# witness is the whole space, so it does not cut the right complement out of Mov(f)
+parabolic = hyperbolic.parabolic_example(lorentz)
+real_kernel_of_rows = hyperbolic._kernel_of_rows
+hyperbolic._kernel_of_rows = lambda space, rows: linalg.Subspace.full(QQ, space.dim)
+expect_certificate_error("parabolic_interval_description",
+                         lambda: hyperbolic.parabolic_interval_description(parabolic))
+hyperbolic._kernel_of_rows = real_kernel_of_rows
+
 # hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
 hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)
 expect_certificate_error("hyperbolic_positive_factorization loop",

@@ -1,11 +1,57 @@
+import json
+from collections import deque
+
 import pytest
 
-from wallfact import (TooLarge, diagonal_space, enumerate_group,
+from wallfact import (PrimeField, TooLarge, diagonal_space, enumerate_group,
                       exhaustive_isometries, reflection_length,
                       verify_intervals, verify_length_formula,
                       verify_spinor_homomorphism, verify_wall_bijection)
-from wallfact.oracle import reflection_generators, verify_order_against_lengths
+from wallfact.oracle import (census_cache_key, load_census, reflection_generators,
+                             save_census, verify_order_against_lengths)
 from wallfact import is_minimal
+
+
+def reference_bfs(space):
+    """BFS by boxed ``Isometry`` products keyed by ``key()``: the
+    enumeration the column-code search must reproduce element for element."""
+    gens = reflection_generators(space)
+    gens.sort(key=lambda pair: tuple(str(x) for x in pair[0]))
+    identity = space.identity_isometry()
+    lengths = {identity.key(): 0}
+    elements = [identity]
+    queue = deque([identity])
+    while queue:
+        g = queue.popleft()
+        d = lengths[g.key()]
+        for _, r in gens:
+            h = r @ g
+            if h.key() not in lengths:
+                lengths[h.key()] = d + 1
+                elements.append(h)
+                queue.append(h)
+    return elements, lengths
+
+
+def orthogonal_group_order(space):
+    """|O(n, q)| from the closed formula; for even n the Witt type is + when
+    (-1)^(n/2) det S is a square in F_q."""
+    q, n = space.field.p, space.dim
+    m = n // 2
+    order = 2 * q ** (m * m if n % 2 else m * (m - 1))
+    for i in range(1, m + (n % 2)):
+        order *= q ** (2 * i) - 1
+    if n % 2 == 0:
+        disc = (-1) ** m * space.gram.det()
+        order *= q ** m - (1 if space.field.is_square(disc) else -1)
+    return order
+
+
+EQUIVALENCE_CASES = [
+    (3, [1]), (3, [1, 1]), (3, [1, 2]), (3, [1, 1, 1]), (3, [1, 1, 2]),
+    (5, [1, 1]), (5, [1, 2]), (5, [1, 1, 1]),
+    (3, [1, 1, -1, -1]), (3, [1, 1, 1, -1]), (7, [1, 1, 1]),
+]
 
 
 class TestGroupOrders:
@@ -36,6 +82,42 @@ class TestGroupOrders:
             enumerate_group(diagonal_space(f3, [1, 1, 1]), cap=10)
 
 
+class TestColumnCodeSearch:
+    @pytest.mark.parametrize("p,form", EQUIVALENCE_CASES)
+    def test_same_elements_and_lengths_as_matrix_products(self, p, form):
+        space = diagonal_space(PrimeField(p), form)
+        census = enumerate_group(space)
+        elements, lengths = reference_bfs(space)
+        assert len(elements) == orthogonal_group_order(space)
+        assert list(census.elements) == elements
+        assert census.bfs_length == lengths
+        assert [census.length_of(f) for f in census.elements] == \
+            [lengths[f.key()] for f in elements]
+
+    @pytest.mark.parametrize("p,form", [(3, [1, 1, 1]), (3, [1, 1, 1, -1]), (7, [1, 1, 1])])
+    def test_cap_is_exact(self, p, form):
+        space = diagonal_space(PrimeField(p), form)
+        order = orthogonal_group_order(space)
+        with pytest.raises(TooLarge):
+            enumerate_group(space, cap=order - 1)
+        assert len(enumerate_group(space, cap=order)) == order
+
+
+class TestCensusCache:
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_other_format_version_is_recomputed(self, census_f3_d2, tmp_path, version):
+        path = tmp_path / "census.json"
+        save_census(census_f3_d2, str(path))
+        data = json.loads(path.read_text())
+        assert data["form_hash"] == census_cache_key(census_f3_d2.space)["form_hash"]
+        if version is None:
+            del data["version"]
+        else:
+            data["version"] = version
+        path.write_text(json.dumps(data))
+        assert load_census(census_f3_d2.space, str(path)) is None
+
+
 class TestCensusBasics:
     def test_identity_and_reflection_lengths(self, census_f3_d3):
         census = census_f3_d3
@@ -62,7 +144,9 @@ class TestCensusBasics:
 class TestVerifications:
     def test_length_formula_everywhere(self, census_f3_d2, census_f3_d3,
                                        census_f5_d2):
-        for census in (census_f3_d2, census_f3_d3, census_f5_d2):
+        o3_f7 = enumerate_group(diagonal_space(PrimeField(7), [1, 1, 1]))
+        assert len(o3_f7) == 672
+        for census in (census_f3_d2, census_f3_d3, census_f5_d2, o3_f7):
             report = verify_length_formula(census)
             assert report.ok, report.violations[:3]
 
@@ -98,3 +182,22 @@ class TestVerifications:
         report = verify_length_formula(census_f3_d2)
         data = report.to_json_dict()
         assert data["violations"] == 0 and data["checked"] == 8
+
+
+@pytest.mark.slow
+class TestLargeCensus:
+    """Census past O(4, F_3); deselected by default, run with ``-m slow``."""
+
+    def test_length_formula_on_o4_f5(self):
+        space = diagonal_space(PrimeField(5), [1, 1, 1, -1])
+        census = enumerate_group(space)
+        assert len(census) == orthogonal_group_order(space) == 28800
+        report = verify_length_formula(census)
+        assert report.ok, report.violations[:3]
+
+    def test_length_formula_on_o5_f3(self):
+        space = diagonal_space(PrimeField(3), [1, 1, 1, 1, 1])
+        census = enumerate_group(space, cap=2 * 10 ** 5)
+        assert len(census) == orthogonal_group_order(space) == 103680
+        report = verify_length_formula(census)
+        assert report.ok, report.violations[:3]
