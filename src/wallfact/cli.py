@@ -185,14 +185,7 @@ def cmd_oracle(args):
         reports = [oracle_mod.verify_wall_bijection(census,
                                                     surjectivity=len(census) <= 64)]
     else:
-        from wallfact.factor import is_minimal
-        merged = oracle_mod.VerificationReport("intervals", 0, [])
-        for f in census.elements:
-            if is_minimal(f):
-                r = oracle_mod.verify_intervals(census, f)
-                merged.checked += r.checked
-                merged.violations.extend(r.violations)
-        reports = [merged]
+        reports = [oracle_mod.verify_minimal_intervals(census)]
     _emit(args, {
         "group_order": len(census),
         "violations": sum(len(r.violations) for r in reports),

@@ -10,7 +10,7 @@ first.
 
 from __future__ import annotations
 
-from .linalg import Matrix, kernel, vec_add, vec_scale
+from .linalg import Matrix, bilinear_value, combine, kernel, vec_add, vec_scale
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
@@ -60,17 +60,6 @@ class Factorization:
 
 # ---------------------------------------------------------------------------
 # triangular bases of bilinear forms, in coordinates
-
-def bilinear_value(X, u, v):
-    """u X v^T for coordinate row vectors."""
-    acc = X.field.zero
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    acc = acc + a * X[i, j] * b
-    return acc
-
 
 def form_row(X, u):
     """The row u X, so that u X y^T is its dot product with y."""
@@ -155,15 +144,7 @@ def _triangular_rec(X, u):
         u = vec_add(u, vec_scale(a, v))
     else:
         raise AssertionError("triangular repair did not terminate")
-    rest = _triangular_rec(XR, wit)
-    out = [u]
-    for local in rest:
-        vec = [X.field.zero] * k
-        for coeff, row in zip(local, R):
-            if coeff:
-                vec = [x + coeff * y for x, y in zip(vec, row)]
-        out.append(tuple(vec))
-    return out
+    return [u, *combine(X.field, _triangular_rec(XR, wit), R, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +216,7 @@ def minimal_factorization(f) -> Factorization:
         return Factorization(space, (), target=f)
     wd = wall_form(f)
     if not space.is_totally_singular(wd.subspace):
-        vectors = []
-        for coords in triangular_basis(wd.chi):
-            vec = [space.field.zero] * space.dim
-            for coeff, row in zip(coords, wd.basis.entries):
-                if coeff:
-                    vec = [x + coeff * y for x, y in zip(vec, row)]
-            vectors.append(tuple(vec))
+        vectors = combine(space.field, triangular_basis(wd.chi), wd.subspace.basis, space.dim)
         return Factorization(space, vectors, target=f)
     v = nonsingular_vector(space)
     g = space.reflection(v) @ f

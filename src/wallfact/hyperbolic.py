@@ -19,12 +19,12 @@ import enum
 from dataclasses import dataclass
 
 from .factor import Factorization, split
-from .linalg import Subspace, subspace_intersection, vec_scale
+from .field import QQ
+from .linalg import Matrix, Subspace, solve, subspace_intersection, vec_scale
 from .positive import is_positive_isometry
-from .quadspace import QuadraticSpace, diagonal_space
+from .quadspace import Isometry, QuadraticSpace, diagonal_space
 from .wall import (CertificateError, fixed_space, isometry_from_wall, moved_space,
                    wall_form)
-from .field import QQ
 
 
 class NotPositive(Exception):
@@ -226,24 +226,15 @@ def parabolic_interval_description(f) -> IntervalDescription:
     hyperplane = wd.right_complement(Subspace(space.field, space.dim, [v]))
     # the right complement of the line is the polar hyperplane of any
     # displacement witness w with w - f(w) = v, intersected with Mov(f)
-    from .linalg import Matrix, solve
-
     D = Matrix.identity(space.field, space.dim) - f.matrix
     w = solve(D, v)
     if w is None:
         raise CertificateError("the fixed line of a parabolic isometry is not a displacement")
-    polar_rows = [tuple(space.polar_matrix.apply(w))]
-    w_perp = _kernel_of_rows(space, polar_rows)
+    w_perp = space.orthogonal_complement(Subspace(space.field, space.dim, [w]))
     if hyperplane != subspace_intersection(w_perp, mov):
         raise CertificateError("the right complement of the fixed line is not the polar "
                                "hyperplane of its displacement witness")
     return IntervalDescription(kind, mov.dim, f, fixed_line=v, hyperplane=hyperplane)
-
-
-def _kernel_of_rows(space, rows):
-    from .linalg import Matrix, kernel
-
-    return kernel(Matrix(space.field, rows, cols=space.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +250,6 @@ def elliptic_example(space, c="3/5", s="4/5"):
              for j in range(space.dim)] for i in range(space.dim)]
     rows[0][0], rows[0][1] = c, -s
     rows[1][0], rows[1][1] = s, c
-    from .quadspace import Isometry
-
     return Isometry(space, rows)
 
 
@@ -275,8 +264,6 @@ def hyperbolic_example(space, ch="5/3", sh="4/3"):
              for j in range(n)] for i in range(n)]
     rows[0][0], rows[0][n - 1] = ch, sh
     rows[n - 1][0], rows[n - 1][n - 1] = sh, ch
-    from .quadspace import Isometry
-
     return Isometry(space, rows)
 
 

@@ -23,6 +23,15 @@ Matrix and every scalar returned is one, and the row operations of an
 elimination touch none.  Results built from entries that are already field
 elements skip the per-entry coercion that Matrix(field, entries) and
 Subspace(field, n, vectors) apply to outside input.
+
+The coordinate layer goes through two helpers built on those kernels.
+``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
+coordinates, u X v^T as the dot product of u with ``X.apply(v)``; and
+``combine(field, coords, rows, ncols)`` is the one row combination, the
+rows of C B for coordinate rows C and basis rows B, as a matrix product.
+Coordinates on a subspace map back to ambient vectors, and vectors found in
+a complement map back to the coordinates of the larger form, through
+``combine``.
 """
 
 from __future__ import annotations
@@ -424,6 +433,20 @@ def dot(u, v):
     return _dot(u, v)
 
 
+def bilinear_value(X, u, v):
+    """u X v^T for coordinate row vectors u and v (field elements or ints)."""
+    if not X.rows:
+        return X.field.zero
+    return dot(tuple(map(X.field, u)), X.apply(v))
+
+
+def combine(field, coords, rows, ncols):
+    """The rows of C B, with C the coordinate rows coords and B the rows
+    (each of length ncols), as a tuple of tuples of field elements."""
+    C = Matrix(field, coords, cols=len(rows))
+    return (C @ Matrix(field, rows, cols=ncols)).entries
+
+
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
@@ -592,15 +615,8 @@ def subspace_intersection(U, W):
     # u_1..u_k, -w_1..-w_l, then read the a-part back through U's basis
     cols = [list(v) for v in U.basis] + [[-x for x in w] for w in W.basis]
     M = Matrix(U.field, list(zip(*cols)))
-    vectors = []
-    for coeffs in kernel(M).basis:
-        a = coeffs[:U.dim]
-        vec = [U.field.zero] * U.ambient_dim
-        for c, u in zip(a, U.basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, u)]
-        vectors.append(vec)
-    return Subspace(U.field, U.ambient_dim, vectors)
+    coords = [coeffs[:U.dim] for coeffs in kernel(M).basis]
+    return Subspace(U.field, U.ambient_dim, combine(U.field, coords, U.basis, U.ambient_dim))
 
 
 def contains(U, v):
@@ -656,11 +672,4 @@ def enumerate_subspaces(of_space, cap=DEFAULT_SUBSPACE_CAP):
                     rows[i][p] = field.one
                 for (i, c), val in zip(free_positions, assignment):
                     rows[i][c] = val
-                ambient_rows = []
-                for row in rows:
-                    vec = [field.zero] * amb
-                    for c, coeff in enumerate(row):
-                        if coeff:
-                            vec = [x + coeff * y for x, y in zip(vec, of_space.basis[c])]
-                    ambient_rows.append(vec)
-                yield Subspace(field, amb, ambient_rows)
+                yield Subspace(field, amb, combine(field, rows, of_space.basis, amb))

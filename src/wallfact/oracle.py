@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .factor import is_minimal
 from .field import PrimeField
 from .linalg import Matrix, TooLarge
 from .order import admissible_subspaces, less_equal
@@ -318,23 +319,26 @@ def verify_intervals(census, f) -> VerificationReport:
     return VerificationReport("intervals", len(defn_keys) + len(image_keys), violations)
 
 
+def verify_minimal_intervals(census) -> VerificationReport:
+    """verify_intervals on every minimal element, merged into one report."""
+    merged = VerificationReport("intervals", 0, [])
+    for f in census.elements:
+        if is_minimal(f):
+            r = verify_intervals(census, f)
+            merged.checked += r.checked
+            merged.violations.extend(r.violations)
+    return merged
+
+
 def verify_all(census, intervals_for_minimal=True) -> list:
     """Run every verification; interval checks cover each minimal element."""
-    from .factor import is_minimal
-
     reports = [
         verify_length_formula(census),
         verify_spinor_homomorphism(census),
         verify_wall_bijection(census, surjectivity=len(census) <= 64),
     ]
     if intervals_for_minimal:
-        merged = VerificationReport("intervals", 0, [])
-        for f in census.elements:
-            if is_minimal(f):
-                r = verify_intervals(census, f)
-                merged.checked += r.checked
-                merged.violations.extend(r.violations)
-        reports.append(merged)
+        reports.append(verify_minimal_intervals(census))
     return reports
 
 

@@ -26,7 +26,7 @@ from .factor import is_minimal, reflection_length
 from .field import PrimeField
 from .linalg import Subspace, TooLarge, enumerate_subspaces, subspace_sum
 from .quadspace import Isometry
-from .wall import (enumerate_isometries_with_moved_space, isometry_from_wall,
+from .wall import (CheckReport, enumerate_isometries_with_moved_space, isometry_from_wall,
                    moved_space, wall_form)
 
 ADMISSIBLE_DIM_LIMIT = 6
@@ -241,21 +241,7 @@ def interval(f, cap=None) -> IntervalPoset:
     return _build_poset(f, list(elements.values()), blocks)
 
 
-@dataclass
-class GradedReport:
-    """Outcome of the structural checks on a materialized interval."""
-
-    checks: dict
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-    def failing(self):
-        return [name for name, good in self.checks.items() if not good]
-
-
-def interval_is_graded_check(poset) -> GradedReport:
+def interval_is_graded_check(poset) -> CheckReport:
     """Rank and duality checks.
 
     Minimal intervals: rank equals dim Mov on every element.  Non-minimal
@@ -307,4 +293,4 @@ def interval_is_graded_check(poset) -> GradedReport:
                         if poset.leq[i][j] != poset.leq[image[j]][image[i]]:
                             dual_ok = False
         checks["blocks_self_dual"] = dual_ok
-    return GradedReport(checks)
+    return CheckReport(checks)

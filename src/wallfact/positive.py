@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import (CertificateError, Factorization, bilinear_value, form_row,
-                     nonalternating_witness, restrict_bilinear, triangular_basis,
-                     _triangular_rec, _unit)
+from .factor import (CertificateError, Factorization, form_row, nonalternating_witness,
+                     restrict_bilinear, triangular_basis, _triangular_rec, _unit)
 from .field import rational_square_in_interval
 from .lattice import kernel_basis
-from .linalg import (Matrix, Subspace, kernel, solve, subspace_intersection, vec_add,
-                     vec_scale, _int_row)
+from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, solve,
+                     subspace_intersection, vec_add, vec_scale, _int_row)
 from .quadspace import lagrange_diagonalize
 from .wall import fixed_space, moved_space, spinor_norm, wall_form
 
@@ -140,14 +139,6 @@ def left_complement_rows(X, u):
     return right_complement_rows(X.transpose(), u)
 
 
-def _combine(coords, rows, field, length):
-    vec = [field.zero] * length
-    for c, row in zip(coords, rows):
-        if c:
-            vec = [x + c * y for x, y in zip(vec, row)]
-    return tuple(vec)
-
-
 def basis_with_one_positive_vector(X):
     """Triangular basis whose first vector has positive square.
 
@@ -181,11 +172,7 @@ def basis_with_one_positive_vector(X):
         u = vec_add(u, vec_scale(a, v))
     else:
         raise CertificateError("triangular repair did not terminate")
-    rest = _triangular_rec(XR, wit)
-    out = [u]
-    for local in rest:
-        out.append(_combine(local, R, field, m))
-    return out
+    return [u, *combine(field, _triangular_rec(XR, wit), R, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +226,7 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
         # second vector is null; find a non-null direction in the right complement
         wit = nonalternating_witness(restrict_bilinear(X, right))
         _certify(wit is not None, "complement of the first vector turned alternating")
-        e3 = _combine(wit, right, field, 3)
+        (e3,) = combine(field, [wit], right, 3)
         t3 = bilinear_value(X, e3, e3)
         if t3 > 0:
             pair = PositivePair(e1, e3, "immediate")
@@ -415,8 +402,7 @@ def _positive_basis_rec(X):
     sub_rows = [basis[0], basis[i], basis[j]]
     X3 = restrict_bilinear(X, sub_rows)
     pair = orthogonal_positive_pair_3d(X3)
-    v1 = _combine(pair.v1, sub_rows, field, m)
-    v2 = _combine(pair.v2, sub_rows, field, m)
+    v1, v2 = combine(field, [pair.v1, pair.v2], sub_rows, m)
 
     units = [_unit(field, m, k) for k in range(m)]
     partners = [perturb_orthogonal_pair(X, v1, v2, e) for e in units]
@@ -435,11 +421,7 @@ def _positive_basis_rec(X):
         _certify(bilinear_value(X, partner, partner) > 0, "the probe's partner is not positive")
         _certify(not bilinear_value(X, u, partner), "the probe and its partner are not orthogonal")
         _certify(XR.det() > 0, "sign of the complement determinant must stay positive")
-        rest = _positive_basis_rec(XR)
-        out = [u]
-        for local in rest:
-            out.append(_combine(local, R, field, m))
-        return out
+        return [u, *combine(field, _positive_basis_rec(XR), R, m)]
     raise CertificateError("every probe had a symmetric complement; "
                            "impossible for a non-symmetric form in dimension >= 3")
 
@@ -464,10 +446,6 @@ def positive_reflection_length(f) -> int:
     if not f.is_involution() and pos > 0:
         return mov.dim
     return mov.dim + 2
-
-
-def _mov_vector(wd, coords):
-    return _combine(coords, wd.basis.entries, wd.space.field, wd.space.dim)
 
 
 def _positive_vector_outside_fix(f):
@@ -520,24 +498,22 @@ def positive_factorization(f) -> Factorization:
     wd = wall_form(f)
     pos, neg, zero = space.inertia(wd.subspace)
 
+    field, n = space.field, space.dim
     if neg == 0 and zero == 0:
-        coords = triangular_basis(wd.chi)
-        vectors = [_mov_vector(wd, crd) for crd in coords]
+        vectors = combine(field, triangular_basis(wd.chi), wd.subspace.basis, n)
         fact = Factorization(space, vectors, target=f)
     elif not f.is_involution() and pos > 0:
-        coords = positive_basis(wd.chi)
-        vectors = [_mov_vector(wd, crd) for crd in coords]
+        vectors = combine(field, positive_basis(wd.chi), wd.subspace.basis, n)
         fact = Factorization(space, vectors, target=f)
     elif pos == 0:
         v = _positive_vector_outside_fix(f)
         g = space.reflection(v) @ f
         wg = wall_form(g)
         _certify(not wg.is_symmetric(), "a non-fixed direction forces non-symmetry")
-        coords = positive_basis(wg.chi)
-        vectors = [v] + [_mov_vector(wg, crd) for crd in coords]
+        vectors = (v, *combine(field, positive_basis(wg.chi), wg.subspace.basis, n))
         fact = Factorization(space, vectors, target=f)
     else:
-        u = _mov_vector(wd, positive_vector_for(wd.chi))
+        (u,) = combine(field, [positive_vector_for(wd.chi)], wd.subspace.basis, n)
         g = space.reflection(u) @ f
         inner = positive_factorization(g)
         fact = Factorization(space, (u,) + inner.vectors, target=f)

@@ -16,7 +16,7 @@ import enum
 from typing import NamedTuple
 
 from .field import UnorderedField
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, bilinear_value, kernel
 
 
 class DegenerateForm(Exception):
@@ -79,19 +79,10 @@ class QuadraticSpace:
 
     def q_value(self, v):
         v = self.vector(v)
-        Sv = self.gram.apply(v)
-        acc = self.field.zero
-        for a, b in zip(v, Sv):
-            acc = acc + a * b
-        return acc
+        return bilinear_value(self.gram, v, v)
 
     def polar(self, u, v):
-        u = self.vector(u)
-        Bv = self.polar_matrix.apply(self.vector(v))
-        acc = self.field.zero
-        for a, b in zip(u, Bv):
-            acc = acc + a * b
-        return acc
+        return bilinear_value(self.polar_matrix, self.vector(u), self.vector(v))
 
     def gram_on(self, rows):
         """Matrix of Q-values on a list of vectors: G[i][j] = u_i^T S u_j."""

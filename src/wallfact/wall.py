@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, image, kernel, solve_all
+from .linalg import Matrix, Subspace, combine, image, kernel, solve_all
 from .quadspace import Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
@@ -22,7 +22,7 @@ __all__ = [
     "Isometry", "WallData", "DegenerateChi", "ChiQMismatch", "CertificateError",
     "fixed_space", "moved_space", "wall_form", "isometry_from_wall",
     "chi_right_complement", "chi_left_complement", "spinor_norm",
-    "check_wall_properties", "WallPropertyReport",
+    "check_wall_properties", "CheckReport",
     "enumerate_isometries_with_moved_space",
 ]
 
@@ -58,26 +58,31 @@ def moved_space(f) -> Subspace:
 
 
 class WallData:
-    """A basis of Mov(f) together with the matrix of chi_f in that basis.
+    """The moved space Mov(f) with the matrix of chi_f in its canonical basis.
 
-    The basis is the canonical RREF basis of the moved space, which makes
-    WallData equality meaningful: equal isometries give equal WallData.
+    ``subspace`` is the canonical Subspace of Mov(f) that ``wall_form``
+    builds, kept so that coordinates are read off its RREF basis without
+    another elimination; ``basis`` is its basis matrix.  The canonical basis
+    makes WallData equality meaningful: equal isometries give equal
+    WallData.  Vectors of Mov(f) enter the coordinate layer through
+    ``coordinates_of``; coordinate rows go back to ambient vectors through
+    ``linalg.combine`` with the basis rows.
     """
 
-    __slots__ = ("space", "basis", "chi")
+    __slots__ = ("space", "subspace", "chi")
 
-    def __init__(self, space, basis, chi):
+    def __init__(self, space, subspace, chi):
         self.space = space
-        self.basis = basis if isinstance(basis, Matrix) else Matrix(space.field, basis, cols=space.dim)
-        self.chi = chi if isinstance(chi, Matrix) else Matrix(space.field, chi, cols=self.basis.rows)
+        self.subspace = subspace
+        self.chi = chi if isinstance(chi, Matrix) else Matrix(space.field, chi, cols=subspace.dim)
 
     @property
     def dim(self):
-        return self.basis.rows
+        return self.subspace.dim
 
     @property
-    def subspace(self):
-        return Subspace(self.space.field, self.space.dim, self.basis.entries)
+    def basis(self):
+        return self.subspace.basis_matrix()
 
     def coordinates_of(self, v):
         coords = self.subspace.coordinates_of(v)
@@ -85,45 +90,27 @@ class WallData:
             raise ValueError("vector is not in the moved space")
         return coords
 
-    def value(self, u, v):
-        """chi(u, v) for ambient vectors u, v inside the moved space."""
-        cu = self.coordinates_of(u)
-        cv = self.coordinates_of(v)
-        acc = self.space.field.zero
-        for i, a in enumerate(cu):
-            if a:
-                for j, b in enumerate(cv):
-                    if b:
-                        acc = acc + a * self.chi[i, j] * b
-        return acc
-
-    def _coord_rows(self, U):
-        return Matrix(self.space.field, [self.coordinates_of(v) for v in U.basis],
+    def _coord_rows(self, vectors):
+        return Matrix(self.space.field, [self.coordinates_of(v) for v in vectors],
                       cols=self.dim)
 
     def restrict(self, U):
         """Matrix of chi on the canonical basis of a subspace U of Mov(f)."""
-        C = self._coord_rows(U)
+        C = self._coord_rows(U.basis)
         return C @ self.chi @ C.transpose()
 
     def _coords_to_ambient(self, coord_subspace):
-        rows = []
-        for c in coord_subspace.basis:
-            vec = [self.space.field.zero] * self.space.dim
-            for i, coeff in enumerate(c):
-                if coeff:
-                    vec = [x + coeff * y for x, y in zip(vec, self.basis.entries[i])]
-            rows.append(vec)
-        return Subspace(self.space.field, self.space.dim, rows)
+        field, n = self.space.field, self.space.dim
+        return Subspace(field, n, combine(field, coord_subspace.basis, self.subspace.basis, n))
 
     def right_complement(self, U):
         """{v in Mov : chi(u, v) = 0 for all u in U}."""
-        C = self._coord_rows(U)
+        C = self._coord_rows(U.basis)
         return self._coords_to_ambient(kernel(C @ self.chi))
 
     def left_complement(self, U):
         """{v in Mov : chi(v, u) = 0 for all u in U}."""
-        C = self._coord_rows(U)
+        C = self._coord_rows(U.basis)
         return self._coords_to_ambient(kernel(C @ self.chi.transpose()))
 
     def is_symmetric(self):
@@ -141,11 +128,11 @@ class WallData:
     def __eq__(self, other):
         if not isinstance(other, WallData):
             return NotImplemented
-        return (self.space == other.space and self.basis == other.basis
+        return (self.space == other.space and self.subspace == other.subspace
                 and self.chi == other.chi)
 
     def __hash__(self):
-        return hash((self.space, self.basis, self.chi))
+        return hash((self.space, self.subspace, self.chi))
 
     def __repr__(self):
         return "WallData(dim %d in %r)" % (self.dim, self.space)
@@ -166,9 +153,8 @@ def wall_form(f) -> WallData:
     witnesses = solve_all(D, mov.basis)
     if witnesses is None:
         raise CertificateError("moved-space vector outside the displacement image")
-    U = mov.basis_matrix()
     W = Matrix._of(space.field, tuple(witnesses), space.dim)
-    return WallData(space, U, W @ space.polar_matrix @ U.transpose())
+    return WallData(space, mov, W @ space.polar_matrix @ mov.basis_matrix().transpose())
 
 
 def isometry_from_wall(space, basis, chi) -> Isometry:
@@ -223,20 +209,20 @@ def spinor_norm(f):
 
 
 @dataclass
-class WallPropertyReport:
-    """Outcome of the structural identities of the Wall form."""
+class CheckReport:
+    """Named structural checks and whether each one held."""
 
-    results: dict
+    checks: dict
 
     @property
     def ok(self):
-        return all(self.results.values())
+        return all(self.checks.values())
 
     def failing(self):
-        return [name for name, good in self.results.items() if not good]
+        return [name for name, good in self.checks.items() if not good]
 
 
-def check_wall_properties(f, g) -> WallPropertyReport:
+def check_wall_properties(f, g) -> CheckReport:
     """Check the five structural identities of chi_f (g drives conjugation):
 
     (i)   chi(u,v) + chi(v,u) = beta(u,v) on Mov(f);
@@ -244,42 +230,37 @@ def check_wall_properties(f, g) -> WallPropertyReport:
     (iii) Mov(f^-1) = Mov(f) and chi_{f^-1}(u,v) = chi_f(v,u);
     (iv)  Mov(g f g^-1) = g(Mov(f)) and chi_{gfg^-1}(g(u), g(v)) = chi_f(u,v);
     (v)   chi_f symmetric iff f is an involution.
+
+    (ii) and (iv) compare matrices: with C_f the coordinate rows of the
+    f(u_i), (ii) reads C_f chi = -chi^T; with C the coordinate rows of the
+    g(u_i) in the basis of Mov(g f g^-1), (iv) reads C chi_h C^T = chi.
     """
     space = f.space
     wd = wall_form(f)
-    basis = wd.basis.entries
-    m = wd.dim
-    results = {}
+    basis = wd.subspace.basis
+    checks = {}
 
-    results["symmetrization_is_polar"] = (
+    checks["symmetrization_is_polar"] = (
         wd.chi + wd.chi.transpose() == space.polar_gram_on(basis))
 
-    ok = True
-    for i in range(m):
-        fu = f.apply(basis[i])
-        for j in range(m):
-            if wd.value(fu, basis[j]) != -wd.chi[j, i]:
-                ok = False
-    results["twist_identity"] = ok
+    C_f = wd._coord_rows([f.apply(u) for u in basis])
+    checks["twist_identity"] = C_f @ wd.chi == -wd.chi.transpose()
 
     wi = wall_form(f.inverse())
-    results["inverse_transposes"] = (
+    checks["inverse_transposes"] = (
         wi.subspace == wd.subspace and wi.chi == wd.chi.transpose())
 
     h = g @ f @ g.inverse()
     wh = wall_form(h)
-    ok = wh.subspace == Subspace(space.field, space.dim,
-                                 [g.apply(u) for u in basis])
+    g_basis = [g.apply(u) for u in basis]
+    ok = wh.subspace == Subspace(space.field, space.dim, g_basis)
     if ok:
-        for i in range(m):
-            gu = g.apply(basis[i])
-            for j in range(m):
-                if wh.value(gu, g.apply(basis[j])) != wd.chi[i, j]:
-                    ok = False
-    results["conjugation_transports"] = ok
+        C = wh._coord_rows(g_basis)
+        ok = C @ wh.chi @ C.transpose() == wd.chi
+    checks["conjugation_transports"] = ok
 
-    results["symmetric_iff_involution"] = (wd.is_symmetric() == f.is_involution())
-    return WallPropertyReport(results)
+    checks["symmetric_iff_involution"] = (wd.is_symmetric() == f.is_involution())
+    return CheckReport(checks)
 
 
 def enumerate_isometries_with_moved_space(space, U):

@@ -143,6 +143,16 @@ class TestOracleCommand:
         assert code == 0
         assert [r["name"] for r in out["reports"]] == ["length_formula"]
 
+    def test_intervals_check_matches_all(self, capsys):
+        argv = ["oracle", "--field", "3", "--dim", "3"]
+        code, alone = run(capsys, argv + ["--check", "intervals"])
+        assert code == 0
+        code, everything = run(capsys, argv + ["--check", "all"])
+        assert code == 0
+        intervals = [r for r in everything["reports"] if r["name"] == "intervals"]
+        assert alone["reports"] == intervals
+        assert intervals[0]["checked"] > 0 and alone["violations"] == 0
+
     def test_census_cache_roundtrip(self, tmp_path, capsys):
         cache = str(tmp_path / "census.json")
         code, first = run(capsys, ["oracle", "--field", "3", "--dim", "2",

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -309,11 +310,12 @@ Factorization.is_positive = real_is_positive
 # parabolic_interval_description: the polar hyperplane of the displacement
 # witness is the whole space, so it does not cut the right complement out of Mov(f)
 parabolic = hyperbolic.parabolic_example(lorentz)
-real_kernel_of_rows = hyperbolic._kernel_of_rows
-hyperbolic._kernel_of_rows = lambda space, rows: linalg.Subspace.full(QQ, space.dim)
+real_complement = quadspace.QuadraticSpace.orthogonal_complement
+quadspace.QuadraticSpace.orthogonal_complement = (
+    lambda self, W: linalg.Subspace.full(QQ, self.dim))
 expect_certificate_error("parabolic_interval_description",
                          lambda: hyperbolic.parabolic_interval_description(parabolic))
-hyperbolic._kernel_of_rows = real_kernel_of_rows
+quadspace.QuadraticSpace.orthogonal_complement = real_complement
 
 # hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
 hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)
@@ -350,3 +352,16 @@ def test_certificates_run_under_optimized_python(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert statements, so no check in the library may be one."""
+    package = os.path.dirname(os.path.abspath(wallfact.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wallfact import (DimensionMismatch, Matrix, NonSquare, PrimeField, QQ,
-                      Subspace, TooLarge, enumerate_subspaces, image, kernel,
-                      solve, subspace_intersection, subspace_sum)
-from wallfact.linalg import contains, count_subspaces, gaussian_binomial
+from wallfact import (DimensionMismatch, Fp, Matrix, NonSquare, PrimeField, QQ,
+                      Subspace, TooLarge, diagonal_space, enumerate_subspaces, image,
+                      kernel, solve, subspace_intersection, subspace_sum, wall_form)
+from wallfact.linalg import (bilinear_value, combine, contains, count_subspaces,
+                             gaussian_binomial)
 
 
 def random_matrix(field, rng, rows, cols, bound=4):
@@ -20,6 +21,93 @@ def random_invertible(field, rng, n):
         M = random_matrix(field, rng, n, n)
         if M.det():
             return M
+
+
+def random_scalar(field, rng, bits):
+    """A rational with numerator and denominator of up to ``bits`` bits, some
+    zeros; over F_p a residue given as an int."""
+    if rng.random() < 0.2:
+        return 0
+    if field is QQ:
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+    return rng.randrange(field.p)
+
+
+def explicit_double_sum(X, u, v):
+    field = X.field
+    acc = field.zero
+    for i in range(X.rows):
+        for j in range(X.cols):
+            acc = acc + field(u[i]) * X[i, j] * field(v[j])
+    return acc
+
+
+def explicit_row_loop(field, coords, rows, ncols):
+    out = []
+    for c in coords:
+        vec = [field.zero] * ncols
+        for a, row in zip(c, rows):
+            vec = [x + field(a) * field(y) for x, y in zip(vec, row)]
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+class TestCoordinateLayer:
+    """bilinear_value and combine against the explicit sums they replace."""
+
+    FIELDS = (QQ, PrimeField(3), PrimeField(5))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_bilinear_value(self, field):
+        rng = random.Random(1401)
+        for m in range(0, 7):
+            for bits in (1, 8, 200):
+                X = Matrix(field, [[random_scalar(field, rng, bits) for _ in range(m)]
+                                   for _ in range(m)], cols=m)
+                u = [random_scalar(field, rng, bits) for _ in range(m)]
+                v = [random_scalar(field, rng, bits) for _ in range(m)]
+                expected = explicit_double_sum(X, u, v)
+                for uu, vv in ((u, v), (tuple(map(field, u)), tuple(map(field, v)))):
+                    got = bilinear_value(X, uu, vv)
+                    assert got == expected
+                    assert isinstance(got, Fraction if field is QQ else Fp)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_bilinear_value_of_empty_form(self, field):
+        X = Matrix(field, [], cols=0)
+        zero = bilinear_value(X, (), ())
+        assert zero == field.zero and isinstance(zero, Fraction if field is QQ else Fp)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_combine(self, field):
+        rng = random.Random(1402)
+        for k in range(0, 5):
+            for ncols in range(1, 6):
+                for bits in (1, 8, 200):
+                    rows = [tuple(field(random_scalar(field, rng, bits)) for _ in range(ncols))
+                            for _ in range(k)]
+                    coords = [[random_scalar(field, rng, bits) for _ in range(k)]
+                              for _ in range(rng.randint(0, 4))]
+                    got = combine(field, coords, rows, ncols)
+                    assert got == explicit_row_loop(field, coords, rows, ncols)
+                    assert all(isinstance(x, Fraction if field is QQ else Fp)
+                               for row in got for x in row)
+
+    def test_combine_empty(self, f3):
+        assert combine(QQ, [], [(1, 2)], 2) == ()
+        assert combine(f3, [], [], 3) == ()
+        assert combine(f3, [()], [], 3) == ((f3.zero,) * 3,)
+
+    def test_combine_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            combine(QQ, [(1, 2, 3)], [(1, 0), (0, 1)], 2)
+
+    def test_wall_form_keeps_its_moved_space(self):
+        space = diagonal_space(QQ, [1, 1, -1])
+        f = space.reflection((1, 0, 0)) @ space.reflection((1, 1, 1))
+        wd = wall_form(f)
+        assert wd.subspace is wd.subspace
+        assert wd.basis == wd.subspace.basis_matrix()
 
 
 class TestSolve:

@@ -6,7 +6,9 @@ from wallfact import (ChiQMismatch, DegenerateChi, Matrix, PrimeField, QQ,
                       Subspace, check_wall_properties, chi_left_complement,
                       chi_right_complement, diagonal_space, fixed_space,
                       isometry_from_wall, moved_space, spinor_norm, wall_form)
-from wallfact.wall import enumerate_isometries_with_moved_space
+from wallfact import wall
+from wallfact.linalg import bilinear_value
+from wallfact.wall import WallData, enumerate_isometries_with_moved_space
 from tests.conftest import random_isometry, random_nonsingular_vector
 
 
@@ -107,15 +109,15 @@ class TestWallForm:
 
 def reference_wall_form(f):
     """The per-vector definition: w_i = solve(D, u_i), chi[i][j] = beta(w_i, u_j)."""
-    from wallfact import WallData, solve
+    from wallfact import solve
 
     space = f.space
     D = Matrix.identity(space.field, space.dim) - f.matrix
-    basis = moved_space(f).basis
+    mov = moved_space(f)
+    basis = mov.basis
     witnesses = [solve(D, u) for u in basis]
     chi = [[space.polar(w, u) for u in basis] for w in witnesses]
-    return WallData(space, Matrix(space.field, basis, cols=space.dim),
-                    Matrix(space.field, chi, cols=len(basis)))
+    return WallData(space, mov, Matrix(space.field, chi, cols=len(basis)))
 
 
 def totally_singular_isometry(space, rng):
@@ -195,7 +197,8 @@ class TestIsometryFromWall:
         assert wd.subspace == Subspace(space.field, 5, basis)
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                assert wd.value(u, v) == space.field(chi[i][j])
+                assert bilinear_value(wd.chi, wd.coordinates_of(u),
+                                      wd.coordinates_of(v)) == space.field(chi[i][j])
 
 
 class TestComplements:
@@ -311,6 +314,23 @@ class TestWallProperties:
             g = rng.choice(elements)
             report = check_wall_properties(f, g)
             assert report.ok, report.failing()
+
+    def test_transposed_chi_fails_the_twist(self, rng, monkeypatch):
+        """chi^T + chi is still the polar Gram matrix, and the inverse and
+        conjugation checks transpose along with it, so only the twist
+        identity C_f chi = -chi^T can tell chi^T from chi."""
+        space = diagonal_space(QQ, [1, 1, -1])
+        f = space.reflection((1, 0, 0)) @ space.reflection((1, 1, 0))
+        assert not f.is_involution()
+        g = random_isometry(space, rng)
+        real_wall_form = wall.wall_form
+
+        def transposed(h):
+            wd = real_wall_form(h)
+            return WallData(wd.space, wd.subspace, wd.chi.transpose())
+
+        monkeypatch.setattr(wall, "wall_form", transposed)
+        assert check_wall_properties(f, g).failing() == ["twist_identity"]
 
 
 class TestMovedSpaceEnumeration:
