@@ -199,7 +199,7 @@ def cmd_verify(args):
     payload = _read_json(args.factorization)
     try:
         fact = jsonio.decode_factorization(payload, space, target=f)
-    except ValueError:
+    except factor_mod.ProductMismatch:
         _emit(args, {"ok": False})
         return
     out = {"ok": True, "length": len(fact)}
@@ -270,13 +270,14 @@ def main(argv=None):
     except jsonio.InputError as exc:
         print(json.dumps({"error": "malformed_input", "detail": str(exc)}))
         return 2
+    except (wall_mod.CertificateError, AssertionError) as exc:
+        # before DOMAIN_ERRORS: factor.ProductMismatch is also a ValueError
+        print(json.dumps({"error": "internal", "detail": str(exc)}))
+        return 3
     except DOMAIN_ERRORS as exc:
         code = type(exc).__name__
         print(json.dumps({"error": code, "detail": str(exc)}))
         return 1
-    except (wall_mod.CertificateError, AssertionError) as exc:
-        print(json.dumps({"error": "internal", "detail": str(exc)}))
-        return 3
     return 0
 
 

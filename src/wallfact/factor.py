@@ -6,11 +6,16 @@ from a triangular basis of the Wall form: chi(e_i, e_i) != 0 with zeros
 above the diagonal peels f into reflections r_{e_1} ... r_{e_m} one split at
 a time.  In the totally singular case one auxiliary reflection is prepended
 first.
+
+A Factorization with a target is certified on construction: its word,
+multiplied out by rank-one updates (``linalg.reflection_product``), must
+equal the whole target matrix, or ProductMismatch is raised.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, bilinear_value, combine, kernel, vec_add, vec_scale
+from .linalg import (Matrix, bilinear_value, combine, kernel, reflection_product, vec_add,
+                     vec_scale)
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
@@ -21,6 +26,10 @@ class AlternatingForm(Exception):
 
 class DegenerateRestriction(Exception):
     """The Wall form restricts degenerately to the requested subspace."""
+
+
+class ProductMismatch(CertificateError, ValueError):
+    """A reflection word does not multiply to its target isometry."""
 
 
 class Factorization:
@@ -36,7 +45,7 @@ class Factorization:
         self.space = space
         self.vectors = vectors
         if target is not None and self.product() != target:
-            raise ValueError("reflection product does not reproduce the target isometry")
+            raise ProductMismatch("reflection product does not reproduce the target isometry")
 
     def __len__(self):
         return len(self.vectors)
@@ -45,10 +54,9 @@ class Factorization:
         return iter(self.vectors)
 
     def product(self) -> Isometry:
-        out = Isometry.identity(self.space)
-        for v in self.vectors:
-            out = out @ self.space.reflection(v)
-        return out
+        """r_{v_1} ... r_{v_m}, one rank-one update per reflection."""
+        return Isometry(self.space, reflection_product(self.space.polar_matrix, self.vectors),
+                        _checked=True)
 
     def is_positive(self):
         """All reflecting vectors have Q(v) > 0 (ordered fields)."""

@@ -78,12 +78,11 @@ def encode_matrix(M):
 def decode_matrix(obj, field):
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be an array of arrays")
-    try:
-        return Matrix(field, [[decode_scalar(x, field) for x in row] for row in obj])
-    except Exception as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError("bad matrix: %s" % exc) from None
+    entries = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
+    ncols = len(entries[0]) if entries else 0
+    if any(len(row) != ncols for row in entries):
+        raise InputError("bad matrix: ragged rows")
+    return Matrix._of(field, entries, ncols)
 
 
 def encode_vector(v):

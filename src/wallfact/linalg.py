@@ -24,6 +24,14 @@ elimination touch none.  Results built from entries that are already field
 elements skip the per-entry coercion that Matrix(field, entries) and
 Subspace(field, n, vectors) apply to outside input.
 
+Reflection words and form preservation have one kernel per field each.
+``reflection_product(B, vectors)`` is the matrix of a word of reflections
+r_v = I - v (B v)^T / Q(v), built from I by one rank-one update per
+reflection, O(n^2) each: over Q on integer rows over one denominator, over
+F_p on int residues.  ``preserves_form(M, S)`` decides M^T S M = S on the
+same integer rows (A^T G A = d^2 G for A = d M, G = s S) or residues,
+without building a product matrix.
+
 The coordinate layer goes through two helpers built on those kernels.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
 coordinates, u X v^T as the dot product of u with ``X.apply(v)``; and
@@ -445,6 +453,138 @@ def combine(field, coords, rows, ncols):
     (each of length ncols), as a tuple of tuples of field elements."""
     C = Matrix(field, coords, cols=len(rows))
     return (C @ Matrix(field, rows, cols=ncols)).entries
+
+
+# ---------------------------------------------------------------------------
+# reflection words and form preservation: one kernel per field each
+
+def _int_matrix(rows):
+    """A matrix of rationals as (ints, d) with matrix = ints / d, d the lcm of
+    all the entries' denominators."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def reflection_product(B, vectors):
+    """The matrix of r_{v_1} ... r_{v_m}, where r_v = I - v (B v)^T / Q(v)
+    with Q(v) = v^T B v / 2 is the reflection of the form with polar matrix
+    B; the empty word gives I.
+
+    Starting from I, each reflection is one rank-one update
+    M <- M - (M v)(B v)^T / Q(v), O(n^2) per reflection.  Raises
+    ZeroDivisionError for a vector with Q(v) = 0.
+    """
+    n = B.rows
+    if B.cols != n:
+        raise NonSquare("polar matrix of shape %dx%d" % (B.rows, B.cols))
+    field = B.field
+    vectors = [tuple(map(field, v)) for v in vectors]
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch("vector of length %d in dimension %d" % (len(v), n))
+    if isinstance(field, PrimeField):
+        rows = _reflection_product_mod(field.p, _kernel_rows(field, B.entries),
+                                       _kernel_rows(field, vectors))
+        return Matrix._of(field, _field_rows(field, rows), n)
+    A, D = _reflection_product_int(_int_matrix(B.entries)[0], vectors)
+    return Matrix._of(field, tuple([tuple([Fraction(x, D) for x in row]) for row in A]), n)
+
+
+def _reflection_product_int(G, vectors):
+    """The word over Q as (A, D) with matrix A / D.  With B = G / s and v
+    scaled to a primitive integer row (reflections ignore both scales),
+    r_v = I - 2 v (G v)^T / q for q = v^T G v, so A <- q A - 2 (A v)(G v)^T
+    and D <- q D, with gcd(D, entries) divided out after each step."""
+    n = len(G)
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    D = 1
+    for v in vectors:
+        v = _primitive(_int_row(v)[0])
+        w = [sum(map(mul, g, v)) for g in G]
+        q = sum(map(mul, v, w))
+        if not q:
+            raise ZeroDivisionError("reflection through a vector with Q(v) = 0")
+        if q < 0:
+            q = -q
+            w = [-x for x in w]
+        for i, row in enumerate(A):
+            t = 2 * sum(map(mul, row, v))
+            A[i] = [q * x - t * y for x, y in zip(row, w)]
+        D *= q
+        g = gcd(D, *itertools.chain.from_iterable(A))
+        if g > 1:
+            D //= g
+            A = [[x // g for x in row] for row in A]
+    return A, D
+
+
+def _reflection_product_mod(p, G, vectors):
+    """The word over F_p on int residues: M <- M - c (M v)(G v)^T with
+    c = 2 / (v^T G v) = 1 / Q(v)."""
+    n = len(G)
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for v in vectors:
+        w = [sum(map(mul, g, v)) % p for g in G]
+        q = sum(map(mul, v, w)) % p
+        if not q:
+            raise ZeroDivisionError("reflection through a vector with Q(v) = 0")
+        c = 2 * pow(q, p - 2, p)
+        w = [c * x % p for x in w]
+        for i, row in enumerate(A):
+            t = sum(map(mul, row, v)) % p
+            if t:
+                A[i] = [(x - t * y) % p for x, y in zip(row, w)]
+    return A
+
+
+def preserves_form(M, S):
+    """Whether M^T S M = S, decided without a product matrix.
+
+    Over Q, with A = d M and G = s S integer matrices, the test is
+    A^T G A = d^2 G; over F_p it is the same products on int residues.  The
+    first unequal entry ends the test.  When S is symmetric both sides are,
+    so the entries on and above the diagonal decide it.
+    """
+    _check_same_field(M.field, S.field)
+    n = S.rows
+    if S.cols != n or M.rows != n or M.cols != n:
+        raise DimensionMismatch("%dx%d matrix against a %dx%d form"
+                                % (M.rows, M.cols, S.rows, S.cols))
+    field = M.field
+    if isinstance(field, PrimeField):
+        return _preserves_form_mod(field.p, _kernel_rows(field, M.entries),
+                                   _kernel_rows(field, S.entries))
+    A, d = _int_matrix(M.entries)
+    return _preserves_form_int(A, d, _int_matrix(S.entries)[0])
+
+
+def _is_symmetric(rows):
+    return all(list(col) == row for col, row in zip(zip(*rows), rows))
+
+
+def _preserves_form_int(A, d, G):
+    d2 = d * d
+    n = len(G)
+    symmetric = _is_symmetric(G)
+    cols = list(zip(*A))
+    for j, col in enumerate(cols):
+        gcol = [sum(map(mul, g, col)) for g in G]    # column j of G A
+        for i in range(j + 1 if symmetric else n):
+            if sum(map(mul, cols[i], gcol)) != d2 * G[i][j]:
+                return False
+    return True
+
+
+def _preserves_form_mod(p, A, G):
+    n = len(G)
+    symmetric = _is_symmetric(G)
+    cols = list(zip(*A))
+    for j, col in enumerate(cols):
+        gcol = [sum(map(mul, g, col)) for g in G]    # column j of G A
+        for i in range(j + 1 if symmetric else n):
+            if (sum(map(mul, cols[i], gcol)) - G[i][j]) % p:
+                return False
+    return True
 
 
 def vec_add(u, v):

@@ -3,11 +3,15 @@
 A space stores the symmetric matrix S with Q(v) = v^T S v; the polar form is
 beta(u, v) = Q(u+v) - Q(u) - Q(v), whose matrix is B = 2S.  This is the one
 internal convention (valid because characteristic 2 is excluded); arbitrary
-square input matrices are symmetrized at construction, which preserves Q.
+square input matrices are symmetrized at construction, which preserves Q
+(a symmetric one is taken as it is).
 
 Isometries are invertible matrices F with F^T S F = S, in column convention
-f(v) = F v.  Reflections, orthogonal complements, total-singularity tests,
-and (over the rationals) inertia counts and definiteness all live here.
+f(v) = F v; ``Isometry`` checks that with ``linalg.preserves_form``.  A
+reflection r_v = I - v (B v)^T / Q(v) is built as one rank-one update of I
+by ``linalg.reflection_product``, the kernel that also multiplies out whole
+reflection words.  Orthogonal complements, total-singularity tests, and
+(over the rationals) inertia counts and definiteness also live here.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import enum
 from typing import NamedTuple
 
 from .field import UnorderedField
-from .linalg import Matrix, Subspace, bilinear_value, kernel
+from .linalg import (Matrix, Subspace, bilinear_value, kernel, preserves_form,
+                     reflection_product)
 
 
 class DegenerateForm(Exception):
@@ -59,8 +64,8 @@ class QuadraticSpace:
         M = form if isinstance(form, Matrix) else Matrix(field, form)
         if M.rows != M.cols:
             raise DegenerateForm("form matrix must be square")
-        half = field.one / field(2)
-        S = (M + M.transpose()).scale(half)
+        # (M + M^T)/2 is M itself when M is symmetric
+        S = M if M.is_symmetric() else (M + M.transpose()).scale(field.one / field(2))
         if not S.det():
             raise DegenerateForm("the polar form is degenerate")
         self.field = field
@@ -134,21 +139,12 @@ class QuadraticSpace:
         return Definiteness.INDEFINITE
 
     def reflection(self, v):
-        """The reflection u -> u - (beta(u, v)/Q(v)) v through a non-singular v."""
+        """The reflection u -> u - (beta(u, v)/Q(v)) v through a non-singular v,
+        built as one rank-one update of I (``linalg.reflection_product``)."""
         v = self.vector(v)
-        q = self.q_value(v)
-        if not q:
+        if not self.q_value(v):
             raise SingularVector("cannot reflect through a vector with Q(v) = 0")
-        Bv = self.polar_matrix.apply(v)
-        n = self.dim
-        rows = []
-        for i in range(n):
-            coeff = v[i] / q
-            rows.append([
-                (self.field.one if i == j else self.field.zero) - coeff * Bv[j]
-                for j in range(n)
-            ])
-        return Isometry(self, Matrix(self.field, rows), _checked=True)
+        return Isometry(self, reflection_product(self.polar_matrix, (v,)), _checked=True)
 
     def identity_isometry(self):
         return Isometry.identity(self)
@@ -221,7 +217,7 @@ class Isometry:
         M = matrix if isinstance(matrix, Matrix) else Matrix(space.field, matrix)
         if M.rows != space.dim or M.cols != space.dim:
             raise NotIsometry("matrix shape %dx%d in dimension %d" % (M.rows, M.cols, space.dim))
-        if not _checked and M.transpose() @ space.gram @ M != space.gram:
+        if not _checked and not preserves_form(M, space.gram):
             raise NotIsometry("matrix does not preserve the quadratic form")
         self.space = space
         self.matrix = M

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from wallfact import factor as factor_mod
 from wallfact.cli import main
 from wallfact.factor import Factorization
+from wallfact.linalg import Matrix
 
 
 def write(tmp_path, name, payload):
@@ -70,6 +72,27 @@ class TestLengthAndFactor:
         code, out = run(capsys, ["verify", "--form", form, "--isometry", boost,
                                  "--factorization", bogus])
         assert code == 0 and out["ok"] is False
+
+    def test_failed_own_certificate_is_internal(self, capsys, lorentz_files, monkeypatch):
+        # a factorization that fails its own certificate is a fault, not a domain error
+        form, boost = lorentz_files
+        monkeypatch.setattr(factor_mod, "reflection_product",
+                            lambda B, vectors: Matrix.identity(B.field, B.rows))
+        code, out = run(capsys, ["factor", "--form", form, "--isometry", boost])
+        assert code == 3 and out["error"] == "internal"
+
+    def test_verify_reports_only_a_mismatch_as_not_ok(self, tmp_path, capsys, lorentz_files,
+                                                      monkeypatch):
+        form, boost = lorentz_files
+        fact = write(tmp_path, "fact.json", {"length": 1, "reflections": [["1", "0", "0"]]})
+
+        def broken(B, vectors):
+            raise ValueError("mixed characteristics: F_3 vs F_5")
+
+        monkeypatch.setattr(factor_mod, "reflection_product", broken)
+        code, out = run(capsys, ["verify", "--form", form, "--isometry", boost,
+                                 "--factorization", fact])
+        assert code == 1 and out["error"] == "ValueError"
 
 
 class TestSpinorClassifyLeq:

@@ -13,7 +13,8 @@ from wallfact import (AlternatingForm, DegenerateRestriction, Factorization,
                       diagonal_space, is_minimal, isometry_from_wall,
                       minimal_factorization, moved_space, reflection_length,
                       spinor_norm, split, triangular_basis, wall_form)
-from wallfact.factor import bilinear_value, nonsingular_vector
+from wallfact.factor import (CertificateError, ProductMismatch, bilinear_value,
+                             nonsingular_vector)
 from tests.conftest import random_isometry
 
 
@@ -243,6 +244,14 @@ class TestFactorizationCertificate:
         with pytest.raises(ValueError):
             Factorization(space, [(1, 0)], target=space.identity_isometry())
 
+    def test_certificate_mismatch_is_a_certificate_error(self):
+        space = diagonal_space(PrimeField(5), [1, 1, 2])
+        f = space.reflection((1, 0, 0)) @ space.reflection((0, 1, 1))
+        with pytest.raises(ProductMismatch) as info:
+            Factorization(space, [(0, 1, 1), (1, 0, 0), (1, 1, 0)], target=f)
+        assert isinstance(info.value, CertificateError) and isinstance(info.value, ValueError)
+        Factorization(space, [(1, 0, 0), (0, 1, 1)], target=f)
+
     def test_singular_vector_rejected(self):
         space = diagonal_space(QQ, [1, -1])
         with pytest.raises(SingularVector):
@@ -338,6 +347,16 @@ positive.restrict_bilinear = lambda X, rows: FlippedDet._of(
 chi = linalg.Matrix(QQ, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
 expect_certificate_error("_positive_basis_rec", lambda: positive.positive_basis(chi))
 positive.restrict_bilinear = real_restrict
+
+# Factorization: the word is a valid one for another isometry, so the
+# rank-one certificate must reject it
+try:
+    Factorization(space, [(1, 0, 0), (1, 1, 0), (0, 1, 2)], target=f)
+except factor.ProductMismatch:
+    pass
+else:
+    raise SystemExit("Factorization: no ProductMismatch")
+Factorization(space, [(1, 0, 0), (0, 1, 2), (1, 1, 0)], target=f)
 print("ok")
 """
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallfact import (PrimeField, QQ, Subspace, diagonal_space,
+from wallfact import (Matrix, PrimeField, QQ, Subspace, diagonal_space,
                       minimal_factorization, wall_form)
 from wallfact.jsonio import (InputError, decode_factorization, decode_field,
                              decode_isometry, decode_matrix, decode_scalar,
@@ -67,6 +67,18 @@ class TestSpaces:
         # Q(x, y) = x^2 + 2xy + 3y^2 regardless of where the cross term sat
         assert space.q_value((1, 1)) == 6
         assert space == decode_space({"field": "rational", "form": [[1, 0], [2, 3]]})
+        # both equal the symmetrized twin, which is taken as it is
+        twin = decode_space({"field": "rational", "form": [[1, 1], [1, 3]]})
+        assert space == twin and space.gram == twin.gram
+        assert space.gram.is_symmetric() and space.polar_matrix == twin.polar_matrix
+        half = decode_space({"field": "rational", "form": [["1/2", "1/3"], [0, -1]]})
+        assert half.gram == decode_space(
+            {"field": "rational", "form": [["1/2", "1/6"], ["1/6", -1]]}).gram
+        F5 = PrimeField(5)
+        asym = decode_space({"field": "prime", "p": 5, "form": [[1, 3], [0, 2]]})
+        # over F_5, 3/2 = 4
+        assert asym == decode_space({"field": "prime", "p": 5, "form": [[1, 4], [4, 2]]})
+        assert asym.q_value((1, 1)) == F5(6)
 
     def test_missing_form(self):
         with pytest.raises(InputError):
@@ -86,6 +98,19 @@ class TestIsometriesAndVectors:
     def test_matrix_shape_error(self):
         with pytest.raises(InputError):
             decode_matrix([[1, 2], [3]], QQ)
+
+    def test_matrix_shapes_and_entries(self):
+        F5 = PrimeField(5)
+        empty, row = decode_matrix([], QQ), decode_matrix([[]], QQ)
+        assert (empty.rows, empty.cols, row.rows, row.cols) == (0, 0, 1, 0)
+        M = decode_matrix([["1/2", 3], ["-4", "0"]], QQ)
+        assert M == Matrix(QQ, [[Fraction(1, 2), 3], [-4, 0]]) and (M.rows, M.cols) == (2, 2)
+        assert all(type(x) is Fraction for row in M.entries for x in row)
+        assert decode_matrix([[7, -1]], F5).entries == ((F5(2), F5(4)),)
+        with pytest.raises(InputError, match="ragged"):
+            decode_matrix([[1], [2, 3]], F5)
+        with pytest.raises(InputError):
+            decode_matrix([[1, "x"]], QQ)
 
 
 class TestFactorizations:
