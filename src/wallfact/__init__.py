@@ -19,8 +19,8 @@ from .wall import (ChiQMismatch, DegenerateChi, WallData, check_wall_properties,
                    chi_left_complement, chi_right_complement, fixed_space,
                    isometry_from_wall, moved_space, spinor_norm, wall_form)
 from .factor import (AlternatingForm, CertificateError, DegenerateRestriction, Factorization,
-                     ProductMismatch, is_minimal, minimal_factorization, reflection_length,
-                     split, triangular_basis)
+                     ProductMismatch, is_minimal, minimal_factorization, reflection_distance,
+                     reflection_length, split, triangular_basis)
 from .order import (IntervalPoset, admissible_subspaces, interval,
                     interval_is_graded_check, less_equal)
 from .positive import (NegativeDeterminant, NegativeSpinor, NoPositiveVector,

@@ -5,7 +5,7 @@ dim Mov(f) + 2 when Mov(f) is totally singular.  Minimal factorizations come
 from a triangular basis of the Wall form: chi(e_i, e_i) != 0 with zeros
 above the diagonal peels f into reflections r_{e_1} ... r_{e_m} one split at
 a time.  In the totally singular case one auxiliary reflection is prepended
-first.
+first.  ``reflection_distance(g, h)`` = l(g^-1 h) is the one length rule.
 
 A Factorization with a target is certified on construction: its word,
 multiplied out by rank-one updates (``linalg.reflection_product``), must
@@ -14,8 +14,8 @@ equal the whole target matrix, or ProductMismatch is raised.
 
 from __future__ import annotations
 
-from .linalg import (Matrix, bilinear_value, combine, kernel, reflection_product, vec_add,
-                     vec_scale)
+from .linalg import (Matrix, bilinear_value, combine, image, kernel, reflection_product,
+                     vec_add, vec_scale)
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
@@ -181,14 +181,21 @@ def split(f, U1, side="right"):
     return f1, f2
 
 
+def reflection_distance(g, h) -> int:
+    """l(g^-1 h), read from W = im(g - h) = g Mov(g^-1 h): the isometry g
+    keeps dimension and total singularity, so it is dim W, or dim W + 2
+    when W != 0 is totally singular."""
+    if g.space != h.space:
+        raise ValueError("isometries of different spaces")
+    W = image(g.matrix - h.matrix)
+    if W.dim and g.space.is_totally_singular(W):
+        return W.dim + 2
+    return W.dim
+
+
 def reflection_length(f) -> int:
     """Minimal number of reflections multiplying to f."""
-    if f.is_identity():
-        return 0
-    mov = moved_space(f)
-    if f.space.is_totally_singular(mov):
-        return mov.dim + 2
-    return mov.dim
+    return reflection_distance(Isometry.identity(f.space), f)
 
 
 def is_minimal(f) -> bool:

@@ -785,6 +785,16 @@ def count_subspaces(n, q):
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
+def projective_points(field, n):
+    """One vector per line of F_p^n: those whose first nonzero entry is 1,
+    ordered by the position of that entry, then by the entries after it."""
+    scalars = list(field.elements())
+    for lead in range(n):
+        prefix = (field.zero,) * lead + (field.one,)
+        for tail in itertools.product(scalars, repeat=n - lead - 1):
+            yield prefix + tail
+
+
 def enumerate_subspaces(of_space, cap=DEFAULT_SUBSPACE_CAP):
     """Yield every subspace of of_space exactly once, over a prime field.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import Matrix, TooLarge
+from .linalg import Matrix, TooLarge, projective_points
 from .order import admissible_subspaces, less_equal
 from .quadspace import Isometry
 from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
@@ -29,23 +29,10 @@ from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
 DEFAULT_GROUP_CAP = 10 ** 5
 
 
-def projective_vectors(space):
-    """One representative per line of the coordinate space: leading entry 1."""
-    import itertools
-
-    field = space.field
-    scalars = list(field.elements())
-    n = space.dim
-    for lead in range(n):
-        prefix = [field.zero] * lead + [field.one]
-        for tail in itertools.product(scalars, repeat=n - lead - 1):
-            yield tuple(prefix) + tail
-
-
 def reflection_generators(space):
     """All reflections of the space, keyed by normalized reflecting vector."""
     out = []
-    for v in projective_vectors(space):
+    for v in projective_points(space.field, space.dim):
         if space.q_value(v):
             out.append((v, space.reflection(v)))
     return out

@@ -1,20 +1,24 @@
 """The reflection-length partial order on the orthogonal group.
 
-g <= f means the lengths add up: l(f) = l(g) + l(g^-1 f).  For a minimal f
-the interval [id, f] is in order-preserving bijection with the admissible
-subspaces of Mov(f); for a non-minimal f the open interval splits into
-disjoint blocks indexed by the not-totally-singular overspaces of Mov(f) of
-one dimension more.  Intervals are materialized over finite fields only;
-over the rationals the module exposes just the comparison predicate.
+g <= f means the lengths add up: l(f) = l(g) + l(g^-1 f), with each length
+from ``factor.reflection_distance``, so no comparison inverts or multiplies.
+For a minimal f the interval [id, f] is in order-preserving bijection with
+the admissible subspaces of Mov(f); for a non-minimal f the open interval
+splits into disjoint blocks indexed by the not-totally-singular overspaces
+of Mov(f) of one dimension more.  Those overspaces are Mov(f) + L for the
+lines L of the complement spanned by the standard basis vectors off the
+pivot columns of Mov(f), one per line of V/Mov(f).  Intervals are
+materialized over finite fields only; over the rationals the module exposes
+just the comparison predicate.
 
 A materialized interval is built from its covers, not from pairwise
-comparisons: h covers g when l(h) = l(g) + 1 and g^-1 h is a reflection,
-and the order is the reflexive-transitive closure of the covers, because
-every relation g <= h inside [id, f] is the end of a chain of covers that
-stays inside [id, f] (see ``_build_poset``).  ``less_equal`` keeps the
-pairwise definition; the tests use it as the oracle for the whole order.
-Minimal factorizations of f are the maximal chains of [id, f], so
-``IntervalPoset.maximal_chain_count`` counts them.
+comparisons.  Each element is ranked by its construction (dim U for the
+image of an admissible subspace U, the filter's length otherwise); h covers
+g when l(h) = l(g) + 1 and rank(h - g) = 1, and the order is the
+reflexive-transitive closure of the covers (see ``_build_poset``).
+``less_equal`` keeps the pairwise definition; the tests use it as the
+oracle for the whole order.  Minimal factorizations of f are the maximal
+chains of [id, f], so ``IntervalPoset.maximal_chain_count`` counts them.
 """
 
 from __future__ import annotations
@@ -22,24 +26,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .factor import is_minimal, reflection_length
+from .factor import is_minimal, reflection_distance, reflection_length
 from .field import PrimeField
-from .linalg import Subspace, TooLarge, enumerate_subspaces, subspace_sum
+from .linalg import (DEFAULT_SUBSPACE_CAP, Subspace, enumerate_subspaces, projective_points,
+                     subspace_sum)
 from .quadspace import Isometry
 from .wall import (CheckReport, enumerate_isometries_with_moved_space, isometry_from_wall,
                    moved_space, wall_form)
 
-ADMISSIBLE_DIM_LIMIT = 6
-
 
 def less_equal(g, f) -> bool:
     """Whether g precedes f: l(g) + l(g^-1 f) = l(f)."""
-    if g.space != f.space:
-        raise ValueError("isometries of different spaces")
-    return reflection_length(g) + reflection_length(g.inverse() @ f) == reflection_length(f)
+    return reflection_length(g) + reflection_distance(g, f) == reflection_length(f)
 
 
-def admissible_subspaces(f, cap=None):
+def admissible_subspaces(f, cap=DEFAULT_SUBSPACE_CAP):
     """Subspaces U of Mov(f) corresponding to the interval below a minimal f.
 
     U qualifies when (i) U is zero or not totally singular, (ii) the right
@@ -52,12 +53,8 @@ def admissible_subspaces(f, cap=None):
     if not is_minimal(f):
         raise ValueError("admissible subspaces are defined for minimal isometries")
     wd = wall_form(f)
-    if wd.dim > ADMISSIBLE_DIM_LIMIT:
-        raise TooLarge("moved space of dimension %d exceeds the limit %d"
-                       % (wd.dim, ADMISSIBLE_DIM_LIMIT))
     out = []
-    kwargs = {} if cap is None else {"cap": cap}
-    for U in enumerate_subspaces(wd.subspace, **kwargs):
+    for U in enumerate_subspaces(wd.subspace, cap):
         if U.dim and space.is_totally_singular(U):
             continue
         comp = wd.right_complement(U)
@@ -130,17 +127,21 @@ def _sort_key(g):
     return tuple(tuple(str(x) for x in row) for row in g.matrix.entries)
 
 
-def _build_poset(f, elements, blocks=None):
+def _build_poset(f, ranked, blocks=None):
     """The poset on the elements of [id, f], from covers and their closure.
 
-    Each element's length and inverse are computed once.  Only pairs one
-    rank apart are tested: (i, j) is a cover when elements[i]^-1 elements[j]
-    is a reflection.  The order is the reflexive-transitive closure of the
-    covers, kept as one bitset per element of the elements below it, filled
-    in rank order from the bitsets of its lower covers.
+    ranked holds (rank, element) pairs.  Only pairs one rank apart are
+    tested: (i, j) is a cover when rank(elements[j] - elements[i]) = 1.  The
+    order is the reflexive-transitive closure of the covers, kept as one
+    bitset per element of the elements below it, filled in rank order from
+    the bitsets of its lower covers.
 
-    This is exact.  A chain of covers gives a relation, since <= is
-    transitive: l(c) <= l(a) + l(a^-1 c) <= l(a) + l(a^-1 b) + l(b^-1 c)
+    The cover test is exact: g^-1 h is a reflection iff dim Mov(g^-1 h) = 1,
+    because a totally singular moved space carries a non-degenerate
+    alternating chi (chi(u, u) = Q(u) = 0) and so has even dimension; and
+    dim Mov(g^-1 h) = rank(id - g^-1 h) = rank(g - h), g being invertible.
+    The closure is exact too.  A chain of covers gives a relation, since <=
+    is transitive: l(c) <= l(a) + l(a^-1 c) <= l(a) + l(a^-1 b) + l(b^-1 c)
     = l(c) when a <= b <= c.  Conversely take g <= h in [id, f], and write
     g^-1 h = r_1...r_k with k = l(g^-1 h) = l(h) - l(g).  Then
     g_i = g r_1...r_i has l(g_i) <= l(g) + i and l(g_i^-1 h) <= k - i, and
@@ -149,17 +150,15 @@ def _build_poset(f, elements, blocks=None):
     g_{i-1}^-1 g_i = r_i: the materialized interval holds the chain of
     covers g = g_0, g_1, ..., g_k = h.
     """
-    ranked = sorted(((reflection_length(g), _sort_key(g), g) for g in elements),
-                    key=lambda t: t[:2])
+    ranked = sorted(((r, _sort_key(g), g) for r, g in ranked), key=lambda t: t[:2])
     ranks = tuple(r for r, _, _ in ranked)
     elements = tuple(g for _, _, g in ranked)
-    inverses = [g.inverse() for g in elements]
     covers = []
     below = []              # below[j] has bit i set when elements[i] <= elements[j]
     for j, h in enumerate(elements):
         bits = 1 << j
         for i in range(bisect_left(ranks, ranks[j] - 1), bisect_left(ranks, ranks[j])):
-            if reflection_length(inverses[i] @ h) == 1:
+            if (h.matrix - elements[i].matrix).rank() == 1:
                 covers.append((i, j))
                 bits |= below[i]
         below.append(bits)
@@ -172,34 +171,24 @@ def _build_poset(f, elements, blocks=None):
 
 
 def codimension_one_overspaces(f):
-    """Not-totally-singular W with Mov(f) inside W of codimension one."""
+    """Not-totally-singular W with Mov(f) inside W of codimension one,
+    one per line of the complement off the pivot columns of Mov(f)."""
     space = f.space
+    field, n = space.field, space.dim
     mov = moved_space(f)
-    seen = set()
+    pivots = {next(c for c, x in enumerate(row) if x) for row in mov.basis}
+    free = [c for c in range(n) if c not in pivots]
     out = []
-    # enumerate lines of V/Mov(f) by scanning all ambient vectors
-    for vec in _all_vectors(space):
-        if mov.contains(vec):
-            continue
-        W = subspace_sum(mov, Subspace(space.field, space.dim, [vec]))
-        if W in seen:
-            continue
-        seen.add(W)
+    for point in projective_points(field, len(free)):
+        line = dict(zip(free, point))
+        vec = [line.get(c, field.zero) for c in range(n)]
+        W = subspace_sum(mov, Subspace(field, n, [vec]))
         if not space.is_totally_singular(W):
             out.append(W)
     return out
 
 
-def _all_vectors(space):
-    import itertools
-
-    scalars = list(space.field.elements())
-    for combo in itertools.product(scalars, repeat=space.dim):
-        if any(combo):
-            yield combo
-
-
-def interval(f, cap=None) -> IntervalPoset:
+def interval(f, cap=DEFAULT_SUBSPACE_CAP) -> IntervalPoset:
     """The interval [id, f], materialized over a finite field.
 
     Minimal f: the elements are the images of the admissible subspaces under
@@ -211,34 +200,32 @@ def interval(f, cap=None) -> IntervalPoset:
     if not isinstance(space.field, PrimeField):
         raise TypeError("intervals are materialized over finite fields only")
     if f.is_identity():
-        return _build_poset(f, [f])
+        return _build_poset(f, [(0, f)])
     wd = wall_form(f)
     if is_minimal(f):
-        elements = [isometry_from_wall(space, U, wd.restrict(U))
-                    for U in admissible_subspaces(f, cap=cap)]
-        return _build_poset(f, elements)
+        ranked = [(U.dim, isometry_from_wall(space, U, wd.restrict(U)))
+                  for U in admissible_subspaces(f, cap=cap)]
+        return _build_poset(f, ranked)
     identity = Isometry.identity(space)
     mov = moved_space(f)
     length = reflection_length(f)
     blocks = []
-    elements = {identity.key(): identity, f.key(): f}
-    kwargs = {} if cap is None else {"cap": cap}
+    ranked = {identity.key(): (0, identity), f.key(): (length, f)}
     for W in codimension_one_overspaces(f):
         members = []
-        for U in enumerate_subspaces(W, **kwargs):
+        for U in enumerate_subspaces(W, cap):
             if U.is_contained_in(mov):
                 # strict predecessors of a non-minimal f never keep their
-                # moved space inside Mov(f)
+                # moved space inside Mov(f), and neither id nor f is outside
                 continue
             for g in enumerate_isometries_with_moved_space(space, U):
-                if g == f or g.is_identity():
-                    continue
-                if reflection_length(g) + reflection_length(g.inverse() @ f) == length:
+                rank = reflection_length(g)
+                if rank + reflection_distance(g, f) == length:
                     members.append(g)
-                    elements[g.key()] = g
+                    ranked[g.key()] = (rank, g)
         if members:
             blocks.append((W, members))
-    return _build_poset(f, list(elements.values()), blocks)
+    return _build_poset(f, list(ranked.values()), blocks)
 
 
 def interval_is_graded_check(poset) -> CheckReport:

@@ -35,12 +35,12 @@ from fractions import Fraction
 
 from .factor import (CertificateError, Factorization, form_row, nonalternating_witness,
                      restrict_bilinear, triangular_basis, _triangular_rec, _unit)
-from .field import rational_square_in_interval
+from .field import UnorderedField, rational_square_in_interval
 from .lattice import kernel_basis
 from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, solve,
                      subspace_intersection, vec_add, vec_scale, _int_row)
 from .quadspace import lagrange_diagonalize
-from .wall import fixed_space, moved_space, spinor_norm, wall_form
+from .wall import fixed_space, moved_space, wall_form
 
 
 class NegativeSpinor(Exception):
@@ -70,8 +70,11 @@ class PositivityReport:
 
 
 def is_positive_isometry(f) -> bool:
-    """Whether the spinor norm of f is a positive square class."""
-    return spinor_norm(f).is_positive()
+    """Whether the spinor norm of f is a positive square class: the sign of
+    det(chi_f) decides it, with no factoring."""
+    if not f.space.field.is_ordered:
+        raise UnorderedField("square classes of %r carry no sign" % f.space.field)
+    return f.is_identity() or wall_form(f).det() > 0
 
 
 def positivity_report(f) -> PositivityReport:

@@ -11,8 +11,8 @@ import wallfact
 from wallfact import (AlternatingForm, DegenerateRestriction, Factorization,
                       Matrix, PrimeField, QQ, SingularVector, Subspace,
                       diagonal_space, is_minimal, isometry_from_wall,
-                      minimal_factorization, moved_space, reflection_length,
-                      spinor_norm, split, triangular_basis, wall_form)
+                      minimal_factorization, moved_space, reflection_distance,
+                      reflection_length, spinor_norm, split, triangular_basis, wall_form)
 from wallfact.factor import (CertificateError, ProductMismatch, bilinear_value,
                              nonsingular_vector)
 from tests.conftest import random_isometry
@@ -179,6 +179,66 @@ class TestReflectionLength:
             from wallfact import fixed_space
             inside_fix = mov.is_contained_in(fixed_space(f))
             assert space.is_totally_singular(mov) == unipotent == inside_fix
+
+
+def reference_distance(g, h):
+    """l(g^-1 h) by the expression reflection_distance replaced: invert g,
+    multiply, measure the product."""
+    return reflection_length(g.inverse() @ h)
+
+
+def assert_distance_matches_reference(pairs):
+    for g, h in pairs:
+        expected = reference_distance(g, h)
+        assert reflection_distance(g, h) == expected
+        assert ((h.matrix - g.matrix).rank() == 1) == (expected == 1)
+
+
+class TestReflectionDistance:
+    """reflection_distance(g, h) against reflection_length(g^-1 h), and the
+    rank-one cover test against the reference being 1."""
+
+    def test_every_pair_of_o3_f3(self, census_f3_d3):
+        elements = census_f3_d3.elements
+        assert len(elements) ** 2 == 2304
+        assert_distance_matches_reference((g, h) for g in elements for h in elements)
+
+    def test_seeded_pairs_of_o4_f3(self, census_f3_d4):
+        rng = random.Random(1701)
+        elements = census_f3_d4.elements
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(3000)]
+        # pairs whose difference has a totally singular image: g and g t for
+        # every non-minimal t, which includes the ts94 element
+        singular = [f for f in elements if not is_minimal(f)]
+        space = census_f3_d4.space
+        ts94 = isometry_from_wall(space, Subspace(space.field, 4, [(1, 0, 1, 0), (0, 1, 0, 1)]),
+                                  [[0, 1], [-1, 0]])
+        assert ts94 in singular
+        pairs += [(g, g @ t) for t in singular for g in rng.sample(elements, 10)]
+        assert_distance_matches_reference(pairs)
+        assert sum(reflection_distance(g, h) == 4 for g, h in pairs) >= 10 * len(singular)
+
+    def test_seeded_pairs_over_q(self):
+        rng = random.Random(1702)
+        pairs = []
+        for n in range(2, 9):
+            space = diagonal_space(QQ, [rng.choice([1, -1, 2, -3]) for _ in range(n)])
+            for _ in range(6):
+                pairs.append((random_isometry(space, rng, rng.randint(0, n)),
+                              random_isometry(space, rng, rng.randint(0, n))))
+        space = diagonal_space(QQ, [1, 1, -1, -1])
+        t = isometry_from_wall(space, [(1, 0, 1, 0), (0, 1, 0, 1)], [[0, 1], [-1, 0]])
+        for _ in range(4):
+            g = random_isometry(space, rng, 3)
+            pairs += [(g, g @ t), (g @ t, g)]
+        assert_distance_matches_reference(pairs)
+        assert reflection_distance(*pairs[-1]) == 4
+
+    def test_different_spaces_rejected(self):
+        f = diagonal_space(QQ, [1, 1]).identity_isometry()
+        g = diagonal_space(QQ, [1, 2]).identity_isometry()
+        with pytest.raises(ValueError, match="isometries of different spaces"):
+            reflection_distance(f, g)
 
 
 class TestMinimalFactorization:

@@ -1,11 +1,19 @@
+import itertools
+import json
+import random
+
 import pytest
 
-from wallfact import (Matrix, PrimeField, QQ, Subspace, admissible_subspaces,
-                      diagonal_space, interval, interval_is_graded_check,
-                      is_minimal, isometry_from_wall, less_equal,
-                      moved_space, reflection_length, wall_form)
+import wallfact.factor as factor_mod
+import wallfact.order as order_mod
+from wallfact import (Isometry, Matrix, PrimeField, QQ, Subspace, TooLarge,
+                      admissible_subspaces, diagonal_space, interval,
+                      interval_is_graded_check, is_minimal, isometry_from_wall,
+                      less_equal, moved_space, reflection_length, subspace_sum, wall_form)
+from wallfact.cli import main
 from wallfact.oracle import brute_force_interval
-from wallfact.order import codimension_one_overspaces
+from wallfact.order import _sort_key, codimension_one_overspaces
+from tests.conftest import random_isometry
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +320,137 @@ class TestExports:
         data = poset.to_json_dict()
         assert data["covers"] == [[0, 1]]
         assert len(data["elements"]) == 2
+
+
+def reference_ranks_and_covers(f):
+    """Elements, ranks and covers of [id, f] by the recipe that ranks came
+    from the construction to replace: one length per element, and one length
+    of g^-1 h per pair one rank apart."""
+    ranked = sorted(((reflection_length(g), _sort_key(g), g) for g in interval(f).elements),
+                    key=lambda t: t[:2])
+    ranks = tuple(r for r, _, _ in ranked)
+    elements = tuple(g for _, _, g in ranked)
+    covers = tuple((i, j) for i, g in enumerate(elements) for j, h in enumerate(elements)
+                   if ranks[j] == ranks[i] + 1 and reflection_length(g.inverse() @ h) == 1)
+    return elements, ranks, covers
+
+
+def assert_interval_matches_reference(f):
+    poset = interval(f)
+    assert (poset.elements, poset.rank, poset.covers) == reference_ranks_and_covers(f)
+
+
+class TestIntervalAgainstReference:
+    """Ranks from the construction and rank-one covers against lengths."""
+
+    def test_every_minimal_element_of_o3_f3(self, census_f3_d3):
+        minimal = [f for f in census_f3_d3.elements if is_minimal(f)]
+        assert len(minimal) == 48
+        for f in minimal:
+            assert_interval_matches_reference(f)
+
+    def test_seeded_minimal_elements_of_o3_f5(self, census_f5_d3):
+        for f in random.Random(1703).sample(list(census_f5_d3.elements), 40):
+            assert is_minimal(f)
+            assert_interval_matches_reference(f)
+
+    @pytest.mark.slow
+    def test_every_minimal_element_of_o3_f5(self, census_f5_d3):
+        assert len(census_f5_d3.elements) == 240
+        for f in census_f5_d3.elements:
+            assert is_minimal(f)
+            assert_interval_matches_reference(f)
+
+    def test_nonminimal_interval(self, nonminimal_f3):
+        assert_interval_matches_reference(nonminimal_f3[1])
+
+
+def overspaces_by_scan(f):
+    """The overspaces found by scanning all p^n ambient vectors."""
+    space = f.space
+    mov = moved_space(f)
+    found = set()
+    for vec in itertools.product(list(space.field.elements()), repeat=space.dim):
+        if any(vec) and not mov.contains(vec):
+            W = subspace_sum(mov, Subspace(space.field, space.dim, [vec]))
+            if not space.is_totally_singular(W):
+                found.add(W)
+    return found
+
+
+class TestOverspacesFromComplement:
+    def test_every_nonminimal_element_of_o4_f3(self, census_f3_d4):
+        nonminimal = [f for f in census_f3_d4.elements if not is_minimal(f)]
+        assert len(nonminimal) == 16
+        for f in nonminimal:
+            family = codimension_one_overspaces(f)
+            assert len(family) == len(set(family))
+            assert set(family) == overspaces_by_scan(f)
+
+
+class TestSubspaceCap:
+    """dim Mov(f) = 7 over F_3: 2,052,656 subspaces, over the default cap."""
+
+    @pytest.fixture
+    def minus_identity_7(self, f3):
+        space = diagonal_space(f3, [1] * 7)
+        return Isometry(space, Matrix.identity(f3, 7).scale(-1))
+
+    def test_admissible_subspaces_too_large(self, minus_identity_7):
+        assert is_minimal(minus_identity_7)
+        with pytest.raises(TooLarge):
+            admissible_subspaces(minus_identity_7)
+
+    def test_cli_interval_exits_one(self, minus_identity_7, tmp_path, capsys):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"field": "prime", "p": 3, "form": [
+            [int(i == j) for j in range(7)] for i in range(7)]}))
+        iso = tmp_path / "f.json"
+        iso.write_text(json.dumps({"matrix": [[2 * (i == j) for j in range(7)]
+                                              for i in range(7)]}))
+        code = main(["interval", "--form", str(form), "--isometry", str(iso)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"] == "TooLarge"
+
+
+class TestNoInversesInOrder:
+    """less_equal and _build_poset invert nothing, and _build_poset
+    computes no length, so neither can slide back to g^-1 h products."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"inverse": 0, "reflection_length": 0}
+        real_inverse = Matrix.inverse
+        real_length = factor_mod.reflection_length
+
+        def inverse(self):
+            calls["inverse"] += 1
+            return real_inverse(self)
+
+        def length(f):
+            calls["reflection_length"] += 1
+            return real_length(f)
+
+        monkeypatch.setattr(Matrix, "inverse", inverse)
+        monkeypatch.setattr(factor_mod, "reflection_length", length)
+        monkeypatch.setattr(order_mod, "reflection_length", length)
+        return calls
+
+    @pytest.mark.parametrize("field,n", [(QQ, 8), (PrimeField(5), 4)])
+    def test_less_equal(self, field, n, counts):
+        rng = random.Random(1704)
+        space = diagonal_space(field, [1] * (n // 2) + [-1] * (n - n // 2))
+        for _ in range(5):
+            f = random_isometry(space, rng, n)
+            g = random_isometry(space, rng, 2)
+            less_equal(g, f)
+            less_equal(f, f)
+        assert counts["inverse"] == 0
+
+    def test_build_poset(self, nonminimal_poset, counts):
+        poset = nonminimal_poset
+        ranked = list(zip(poset.rank, poset.elements))
+        blocks = [(W, [poset.elements[i] for i in members]) for W, members in poset.blocks]
+        rebuilt = order_mod._build_poset(poset.isometry, ranked[::-1], blocks)
+        assert counts == {"inverse": 0, "reflection_length": 0}
+        assert rebuilt == poset

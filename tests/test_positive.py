@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
-                      NoPositiveVector, QQ, Subspace, SymmetricChi,
+                      NoPositiveVector, QQ, Subspace, SymmetricChi, UnorderedField,
                       basis_with_one_positive_vector, diagonal_space,
                       is_minimal, is_positive_isometry, isometry_from_wall,
                       less_equal, moved_space,
@@ -12,12 +13,12 @@ from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
                       perturb_positive_vector, positive_basis,
                       positive_factorization, positive_less_equal,
                       positive_reflection_length, positivity_report,
-                      reflection_length, wall_form)
+                      reflection_length, spinor_norm, wall_form)
 import wallfact.positive as positive_mod
 from wallfact.factor import CertificateError, Factorization, bilinear_value
-from wallfact.hyperbolic import lorentz_space
+from wallfact.hyperbolic import classify, interval_membership, lorentz_space
 from wallfact.positive import positive_vector_for
-from tests.conftest import random_positive_isometry
+from tests.conftest import random_isometry, random_positive_isometry
 
 
 def check_positive_triangular(X, rows, first_only=False):
@@ -62,6 +63,41 @@ class TestIsPositiveIsometry:
         # direct route: determinant of the full Wall form is a positive class
         assert wall_form(f).det() > 0 or QQ.square_class(wall_form(f).det()).is_positive()
         assert is_positive_isometry(f)
+
+    def test_agrees_with_spinor_norm(self):
+        rng = random.Random(2302)
+        seen = set()
+        for n in range(2, 7):
+            for positives in range(n + 1):
+                space = diagonal_space(QQ, [1] * positives + [-1] * (n - positives))
+                for _ in range(4):
+                    f = random_isometry(space, rng, rng.randint(0, n))
+                    expected = spinor_norm(f).is_positive()
+                    assert is_positive_isometry(f) == expected
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_finite_fields_rejected(self, f3):
+        space = diagonal_space(f3, [1, 1])
+        for f in (space.identity_isometry(), space.reflection((1, 0))):
+            with pytest.raises(UnorderedField):
+                is_positive_isometry(f)
+
+    def test_large_prime_norms_are_not_factored(self):
+        # Q(u) and Q(v) are primes of 100 and 101 bits, so the square class
+        # of det(chi_f) = Q(u) Q(v) is square-free only after factoring a
+        # 201-bit number; the sign needs no factoring
+        space = diagonal_space(QQ, [1, 1, -1])
+        u = (717806724098554, 620579817928981, 0)
+        v = (701143936145966, 1076406542435165, 0)
+        ru, rv = space.reflection(u), space.reflection(v)
+        f = ru @ rv
+        for call, expected in ((lambda: len(positive_factorization(f)), 2),
+                               (lambda: classify(f).value, "elliptic"),
+                               (lambda: interval_membership(ru @ ru, f), True)):
+            start = time.perf_counter()
+            assert call() == expected
+            assert time.perf_counter() - start < 1.0
 
 
 class TestPositiveProbe:
