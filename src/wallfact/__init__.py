@@ -6,7 +6,8 @@ factorizations, interval posets, the hyperbolic-space specialization, and a
 brute-force finite-field oracle.
 """
 
-from .field import (QQ, EmptyInterval, FieldError, Fp, PrimeField, RationalField,
+from .field import (QQ, EmptyInterval, FactoringBudgetExceeded, FieldError, Fp,
+                    PrimeField, RationalField,
                     SquareClass, UnorderedField, ZeroElement,
                     rational_square_in_interval, square_class)
 from .linalg import (DimensionMismatch, Matrix, NonSquare, Subspace, TooLarge,

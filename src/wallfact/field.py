@@ -39,6 +39,10 @@ class EmptyInterval(FieldError):
     """No positive square can exist in the requested interval."""
 
 
+class FactoringBudgetExceeded(FieldError):
+    """Pollard rho spent its iteration budget without splitting a cofactor."""
+
+
 # ---------------------------------------------------------------------------
 # integer helpers: primality and square-free parts
 
@@ -47,6 +51,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # trial division handles everything below this bound squared; Pollard rho
 # finds the larger factors faster than a longer division loop would
 TRIAL_DIVISION_BOUND = 10 ** 3
+
+# Pollard rho iterations one split of a cofactor may spend; past it
+# factorize raises FactoringBudgetExceeded.  At about 5 us per iteration on
+# a 294-bit cofactor this is about 10 s, and it is over 30 times the longest
+# rho run of the benchmark inputs (60,634 iterations).
+RHO_ITERATION_BUDGET = 2 ** 21
 
 
 def is_prime(n):
@@ -75,13 +85,21 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    """Brent-cycle Pollard rho; n must be odd, composite, not a prime power of 2."""
+    """A proper factor of n by Pollard rho with Floyd cycle detection; n must
+    be odd, composite, not a prime power of 2.  Raises
+    FactoringBudgetExceeded after RHO_ITERATION_BUDGET iterations."""
+    budget = RHO_ITERATION_BUDGET
     rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)
         x = rng.randrange(n)
         y, d = x, 1
         while d == 1:
+            if not budget:
+                raise FactoringBudgetExceeded(
+                    "no factor of a %d-bit cofactor within %d Pollard rho iterations"
+                    % (n.bit_length(), RHO_ITERATION_BUDGET))
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -94,7 +112,9 @@ def factorize(n):
     """Prime factorization of n >= 1 as a dict {prime: exponent}.
 
     Trial division up to TRIAL_DIVISION_BOUND, then Pollard rho for any
-    remaining cofactor.  Intended for desk-scale inputs.
+    remaining cofactor, at most RHO_ITERATION_BUDGET iterations per split.
+    Intended for desk-scale inputs; raises FactoringBudgetExceeded past that
+    budget.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

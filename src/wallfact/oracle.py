@@ -7,54 +7,87 @@ lengths, the spinor homomorphism, the Wall bijection, and interval
 membership.  A second, even dumber oracle enumerates all matrices column by
 column with form-preservation constraints.
 
-The BFS never multiplies matrices.  Left multiplication by a reflection r
+The census lives on column codes.  Left multiplication by a reflection r
 acts on each column separately, (r g)[:, j] = r (g[:, j]), and v -> r v is a
-bijection of F_p^n.  So while the search runs an element is the tuple of its
-n column codes (a column as a base-p integer), and r g is n lookups in a
-table of r's action on codes, filled as columns are met.  Boxed
-``Isometry`` objects are built once per element when the search ends.
+bijection of F_p^n.  So an element is the tuple of its n column codes (a
+column as a base-p integer), r g is n lookups in a table of r's action on
+codes, filled as columns are met, and word lengths are keyed by code
+tuples.  The length formula is checked on the int residues of the columns,
+and the census cache (format 3) stores the codes.  Boxed ``Isometry``
+objects are built once per element, only when a caller asks for
+``GroupCensus.elements``, and the reflections on first use of
+``GroupCensus.reflections``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import Matrix, TooLarge, projective_points
+from .linalg import (Matrix, TooLarge, _kernel_rows, _preserves_form_mod,
+                     _reflection_product_mod, _rref_mod, projective_points)
 from .order import admissible_subspaces, less_equal
-from .quadspace import Isometry
+from .quadspace import Isometry, NotIsometry
 from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
 
 DEFAULT_GROUP_CAP = 10 ** 5
 
 
 def reflection_generators(space):
-    """All reflections of the space, keyed by normalized reflecting vector."""
-    out = []
-    for v in projective_points(space.field, space.dim):
-        if space.q_value(v):
-            out.append((v, space.reflection(v)))
-    return out
+    """All reflections of the space as (vector, Isometry) pairs, one per
+    line, in the order the BFS applies them."""
+    return [(v, space.reflection(v)) for v in _generator_points(space)]
+
+
+def _generator_points(space):
+    """One vector per line with Q(v) != 0, in the order the BFS applies their
+    reflections."""
+    points = [v for v in projective_points(space.field, space.dim) if space.q_value(v)]
+    points.sort(key=lambda v: tuple(str(x) for x in v))
+    return points
 
 
 @dataclass
 class GroupCensus:
-    """The full orthogonal group of a small finite quadratic space."""
+    """The full orthogonal group of a small finite quadratic space, as the
+    column codes of its elements and their word lengths."""
 
     space: object
-    elements: tuple
-    reflections: tuple            # (vector, Isometry) pairs
-    bfs_length: dict              # matrix entries -> word length
+    codes: tuple                  # code tuples, in the order the BFS found them
+    lengths: dict                 # code tuple -> word length
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The boxed isometries, in the order of ``codes``; built on first use."""
+        columns = {}
+        return tuple(_boxed(self.space, g, columns) for g in self.codes)
+
+    @cached_property
+    def reflections(self) -> tuple:
+        """The (vector, Isometry) generators; built on first use."""
+        return tuple(reflection_generators(self.space))
+
+    def _codes_of(self, f):
+        """The column codes of f, read off its residues (an isometry of
+        another dimension gets a tuple of another length, which no key has)."""
+        p = self.space.field.p
+        rows = f.matrix.entries
+        codes = [0] * len(rows)
+        for row in rows:
+            codes = [c * p + x.value for c, x in zip(codes, row)]
+        return tuple(codes)
 
     def length_of(self, f) -> int:
-        return self.bfs_length[f.key()]
+        return self.lengths[self._codes_of(f)]
 
     def contains(self, f) -> bool:
-        return f.key() in self.bfs_length
+        return self._codes_of(f) in self.lengths
 
     def identity(self) -> Isometry:
         return Isometry.identity(self.space)
@@ -68,22 +101,23 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     permutation to each column code; the base-p code is a bijection of F_p^n
     onto [0, p^n), so two elements have equal code tuples exactly when they
     are equal matrices.  Elements and generators are visited in the order of
-    the search by products ``r @ g`` keyed by ``key()``, so ``elements`` and
-    ``bfs_length`` are the ones that search finds.
+    the search by products ``r @ g`` keyed by ``key()``, so ``codes`` and
+    ``lengths`` are the ones that search finds.
 
     Each reflection's table is filled on first lookup, so it holds only the
     distinct columns of the elements it multiplied: at most n |G| codes, and
     at most the vectors v with Q(v) among the Q(e_j), since an isometry
-    keeps Q(g e_j) = Q(e_j).  There is never an eager p^n table.  Raises
-    TooLarge once more than ``cap`` elements are found.
+    keeps Q(g e_j) = Q(e_j).  There is never an eager p^n table, and no
+    matrix is boxed.  Raises TooLarge once more than ``cap`` elements are
+    found.
     """
     field = space.field
     if not isinstance(field, PrimeField):
         raise TypeError("group enumeration needs a finite field")
-    gens = reflection_generators(space)
-    gens.sort(key=lambda pair: tuple(str(x) for x in pair[0]))
     p, n = field.p, space.dim
-    tables = [_ColumnImages(r, p) for _, r in gens]
+    polar = _kernel_rows(field, space.polar_matrix.entries)
+    tables = [_ColumnImages(_reflection_product_mod(p, polar, [[x.value for x in v]]), p)
+              for v in _generator_points(space)]
     identity = tuple(p ** (n - 1 - j) for j in range(n))    # codes of e_0 .. e_{n-1}
     lengths = {identity: 0}
     order = [identity]
@@ -96,21 +130,7 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
                 order.append(h)
                 if len(order) > cap:
                     raise TooLarge("group exceeds the cap of %d elements" % cap)
-    columns = {}                    # code -> the column as a tuple of Fp
-    box = field.residues
-    elements = []
-    bfs_length = {}
-    for g in order:
-        cols = []
-        for code in g:
-            col = columns.get(code)
-            if col is None:
-                col = columns[code] = tuple(box[x] for x in _digits(code, p, n))
-            cols.append(col)
-        f = Isometry(space, Matrix._of(field, tuple(zip(*cols)), n), _checked=True)
-        elements.append(f)
-        bfs_length[f.key()] = lengths[g]
-    return GroupCensus(space, tuple(elements), tuple(gens), bfs_length)
+    return GroupCensus(space, tuple(order), lengths)
 
 
 def _digits(code, p, n):
@@ -121,8 +141,23 @@ def _digits(code, p, n):
     return v
 
 
+def _boxed(space, g, columns):
+    """The Isometry whose column codes are g; ``columns`` caches each code's
+    column of Fp entries across calls."""
+    field, n = space.field, space.dim
+    box = field.residues
+    cols = []
+    for code in g:
+        col = columns.get(code)
+        if col is None:
+            col = columns[code] = tuple(box[x] for x in _digits(code, field.p, n))
+        cols.append(col)
+    return Isometry(space, Matrix._of(field, tuple(zip(*cols)), n), _checked=True)
+
+
 class _ColumnImages(dict):
-    """Code of r v for the code of a column v, for one reflection r.
+    """Code of r v for the code of a column v, for one reflection r given by
+    its residue rows.
 
     Filled on first lookup of each code (``__missing__``), so its size is
     the number of distinct columns the search multiplied by r.
@@ -130,9 +165,9 @@ class _ColumnImages(dict):
 
     __slots__ = ("rows", "p")
 
-    def __init__(self, r, p):
+    def __init__(self, rows, p):
         super().__init__()
-        self.rows = [[x.value for x in row] for row in r.matrix.entries]
+        self.rows = rows
         self.p = p
 
     def __missing__(self, code):
@@ -209,20 +244,53 @@ class VerificationReport:
 
 
 def verify_length_formula(census) -> VerificationReport:
-    """BFS distance against dim Mov(f) (+2 when Mov(f) is totally singular)."""
+    """BFS distance against dim Mov(g) (+2 when Mov(g) is totally singular),
+    for every element g, on the int residues of its columns.
+
+    Mov(g) = im(g - I), so dim Mov(g) = rank(g - I), the rank of the n rows
+    g e_j - e_j: one ``_rref_mod`` elimination per element.
+
+    Mov(g) is totally singular when Q vanishes on it, that is (char != 2)
+    when the polar form does: (g - I)^T S (g - I) = 0.  As g^T S g = S,
+    (g - I)^T S (g - I) = S - g^T S - S g + S = 2S - g^T S - S g, and since
+    S is symmetric, (g^T S)[i][j] = (S g)[j][i].  So Mov(g) is totally
+    singular exactly when (S g)[i][j] + (S g)[j][i] = 2 S[i][j] for all
+    i <= j (the matrix is symmetric, so these entries decide it).  Column j
+    of S g is S v for the column v = g e_j, so each distinct column code
+    has its S v (and its n rows v - e_j) computed once, and the test is
+    n(n + 1)/2 lookups.
+
+    A violation is boxed into its witness (f.key(), bfs, expected).
+    """
     space = census.space
+    p, n = space.field.p, space.dim
+    S = _kernel_rows(space.field, space.gram.entries)
+    twice_s = [[2 * x % p for x in row] for row in S]
+    upper = [(i, j) for j in range(n) for i in range(j + 1)]
+    columns = {}                    # code -> (S v, [v - e_j for each j]) on residues
     violations = []
-    for f in census.elements:
-        mov = moved_space(f)
-        if f.is_identity():
+    for g in census.codes:
+        cols = []
+        for code in g:
+            col = columns.get(code)
+            if col is None:
+                v = _digits(code, p, n)
+                col = columns[code] = ([sum(map(mul, row, v)) % p for row in S],
+                                       [[(x - (i == j)) % p for i, x in enumerate(v)]
+                                        for j in range(n)])
+            cols.append(col)
+        moved = [col[1][j][:] for j, col in enumerate(cols)]      # _rref_mod overwrites
+        dim = len(_rref_mod(moved, n, p)[0])
+        if not dim:
             expected = 0
-        elif space.is_totally_singular(mov):
-            expected = mov.dim + 2
+        elif all((cols[j][0][i] + cols[i][0][j] - twice_s[i][j]) % p == 0 for i, j in upper):
+            expected = dim + 2
         else:
-            expected = mov.dim
-        if census.length_of(f) != expected:
-            violations.append((f.key(), census.length_of(f), expected))
-    return VerificationReport("length_formula", len(census.elements), violations)
+            expected = dim
+        bfs = census.lengths[g]
+        if bfs != expected:
+            violations.append((_boxed(space, g, {}).key(), bfs, expected))
+    return VerificationReport("length_formula", len(census.codes), violations)
 
 
 def verify_spinor_homomorphism(census) -> VerificationReport:
@@ -343,7 +411,7 @@ def verify_order_against_lengths(census, f) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # census cache
 
-CENSUS_FORMAT_VERSION = 2      # files without a version predate it and are recomputed
+CENSUS_FORMAT_VERSION = 3      # files of another version, or of none, are recomputed
 
 
 def census_cache_key(space):
@@ -358,19 +426,24 @@ def census_cache_key(space):
 
 
 def save_census(census, path):
+    """Write the census's key, its code tuples in BFS order and their lengths."""
     import json
 
     data = census_cache_key(census.space)
-    data["elements"] = [[[x.value for x in row] for row in f.matrix.entries]
-                        for f in census.elements]
-    data["lengths"] = [census.length_of(f) for f in census.elements]
+    data["codes"] = census.codes
+    data["lengths"] = [census.lengths[g] for g in census.codes]
     with open(path, "w") as handle:
         json.dump(data, handle)
 
 
 def load_census(space, path):
     """Rebuild a census from a cache file; None when the key does not match,
-    including a file of another format version or of none."""
+    including a file of another format version or of none.
+
+    Each element must be n codes, each an int in [0, p^n), whose columns
+    preserve the form (``_preserves_form_mod``): what ``Isometry(space,
+    rows)`` would check.  Raises NotIsometry on the first that is not.
+    """
     import json
     import os
 
@@ -381,8 +454,23 @@ def load_census(space, path):
     key = census_cache_key(space)
     if any(data.get(name) != value for name, value in key.items()):
         return None
-    elements = tuple(Isometry(space, rows) for rows in data["elements"])
-    lengths = {f.key(): d for f, d in zip(elements, data["lengths"])}
-    gens = reflection_generators(space)
-    gens.sort(key=lambda pair: tuple(str(x) for x in pair[0]))
-    return GroupCensus(space, elements, tuple(gens), lengths)
+    p, n = space.field.p, space.dim
+    size = p ** n
+    G = _kernel_rows(space.field, space.gram.entries)
+    columns = {}                    # code -> its column as a residue vector
+    codes = []
+    for g in data["codes"]:
+        if not isinstance(g, list) or len(g) != n:
+            raise NotIsometry("%r is not %d column codes" % (g, n))
+        cols = []
+        for code in g:
+            if type(code) is not int or not 0 <= code < size:
+                raise NotIsometry("column code %r outside [0, %d)" % (code, size))
+            v = columns.get(code)
+            if v is None:
+                v = columns[code] = _digits(code, p, n)
+            cols.append(v)
+        if not _preserves_form_mod(p, list(zip(*cols)), G):
+            raise NotIsometry("matrix does not preserve the quadratic form")
+        codes.append(tuple(g))
+    return GroupCensus(space, tuple(codes), dict(zip(codes, data["lengths"])))

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from wallfact import (EmptyInterval, PrimeField, QQ, UnorderedField, ZeroElement,
                       rational_square_in_interval)
-from wallfact.field import Fp, factorize, is_prime, squarefree_part
+import wallfact.field as field_mod
+from wallfact.field import (FactoringBudgetExceeded, Fp, factorize, is_prime,
+                            squarefree_part)
 
 
 class TestSquareClass:
@@ -208,6 +210,14 @@ class TestIntegerHelpers:
         assert squarefree_part(n) == r
         assert squarefree_part(-n) == -r
         assert factorize(1009 ** 3 * 1013 ** 5) == {1009: 3, 1013: 5}
+
+    def test_factorize_budget(self, monkeypatch):
+        # rho needs about sqrt(10^6) iterations to split this product
+        p, q = 1000003, 1000033
+        monkeypatch.setattr(field_mod, "RHO_ITERATION_BUDGET", 10)
+        with pytest.raises(FactoringBudgetExceeded):
+            factorize(p * q)
+        assert factorize(991 ** 2 * 997) == {991: 2, 997: 1}     # no rho needed
 
     def test_least_nonresidue(self):
         assert PrimeField(5).least_nonresidue == 2

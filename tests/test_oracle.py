@@ -3,10 +3,12 @@ from collections import deque
 
 import pytest
 
-from wallfact import (PrimeField, TooLarge, diagonal_space, enumerate_group,
-                      exhaustive_isometries, reflection_length,
+from wallfact import (Fp, GroupCensus, Isometry, NotIsometry, PrimeField,
+                      QuadraticSpace, TooLarge, diagonal_space, enumerate_group,
+                      exhaustive_isometries, moved_space, reflection_length,
                       verify_intervals, verify_length_formula,
                       verify_spinor_homomorphism, verify_wall_bijection)
+from wallfact.cli import main
 from wallfact.oracle import (census_cache_key, load_census, reflection_generators,
                              save_census, verify_order_against_lengths)
 from wallfact import is_minimal
@@ -75,7 +77,7 @@ class TestGroupOrders:
             census = enumerate_group(space)
             brute = exhaustive_isometries(space)
             assert len(brute) == len(census)
-            assert {f.key() for f in brute} == set(census.bfs_length)
+            assert {f.key() for f in brute} == {f.key() for f in census.elements}
 
     def test_cap(self, f3):
         with pytest.raises(TooLarge):
@@ -90,7 +92,8 @@ class TestColumnCodeSearch:
         elements, lengths = reference_bfs(space)
         assert len(elements) == orthogonal_group_order(space)
         assert list(census.elements) == elements
-        assert census.bfs_length == lengths
+        assert {f.key(): census.length_of(f) for f in census.elements} == lengths
+        assert len(census.lengths) == len(lengths)
         assert [census.length_of(f) for f in census.elements] == \
             [lengths[f.key()] for f in elements]
 
@@ -104,7 +107,7 @@ class TestColumnCodeSearch:
 
 
 class TestCensusCache:
-    @pytest.mark.parametrize("version", [None, 1])
+    @pytest.mark.parametrize("version", [None, 1, 2])
     def test_other_format_version_is_recomputed(self, census_f3_d2, tmp_path, version):
         path = tmp_path / "census.json"
         save_census(census_f3_d2, str(path))
@@ -116,6 +119,99 @@ class TestCensusCache:
             data["version"] = version
         path.write_text(json.dumps(data))
         assert load_census(census_f3_d2.space, str(path)) is None
+
+
+    @pytest.fixture(scope="class")
+    def o4_f3(self):
+        return enumerate_group(diagonal_space(PrimeField(3), [1, 1, 1, -1]))
+
+    def test_round_trip(self, o4_f3, tmp_path):
+        path = str(tmp_path / "census.json")
+        save_census(o4_f3, path)
+        loaded = load_census(o4_f3.space, path)
+        assert loaded.codes == o4_f3.codes
+        assert loaded.lengths == o4_f3.lengths
+        assert loaded.elements == o4_f3.elements
+        assert loaded.reflections == o4_f3.reflections
+
+    def tampered(self, census, tmp_path, edit):
+        path = tmp_path / "census.json"
+        save_census(census, str(path))
+        data = json.loads(path.read_text())
+        edit(data["codes"])
+        path.write_text(json.dumps(data))
+        return path
+
+    def non_isometry_column(self, codes):
+        # columns 0 and 1 equal to u = g e_1 give u^T S u = 1 at (0, 1), where
+        # the form needs S[0][1] = 0
+        codes[5][0] = codes[5][1]
+
+    def code_too_large(self, codes):
+        codes[5][1] = 81
+
+    def codes_missing(self, codes):
+        del codes[5][-1]
+
+    @pytest.mark.parametrize("edit", ["non_isometry_column", "code_too_large",
+                                      "codes_missing"])
+    def test_tampered_file_raises(self, o4_f3, tmp_path, edit):
+        path = self.tampered(o4_f3, tmp_path, getattr(self, edit))
+        with pytest.raises(NotIsometry):
+            load_census(o4_f3.space, str(path))
+
+    def test_cli_exits_1_on_tampered_file(self, o4_f3, tmp_path, capsys):
+        path = self.tampered(o4_f3, tmp_path, self.non_isometry_column)
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"field": "prime", "p": 3,
+                                    "form": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                             [0, 0, 1, 0], [0, 0, 0, -1]]}))
+        code = main(["oracle", "--form", str(form), "--check", "length",
+                     "--cache", str(path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NotIsometry"
+
+
+class TestCensusStaysOnCodes:
+    """Enumeration, the length check and the cache box no isometry and hash
+    no Fp entry, so per-element boxing cannot slide back in unnoticed."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"init": 0, "hash": 0}
+        init, fp_hash = Isometry.__init__, Fp.__hash__
+
+        def counting_init(self, *args, **kwargs):
+            counts["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_hash(self):
+            counts["hash"] += 1
+            return fp_hash(self)
+
+        monkeypatch.setattr(Isometry, "__init__", counting_init)
+        monkeypatch.setattr(Fp, "__hash__", counting_hash)
+        return counts
+
+    def test_census_on_codes(self, counts, tmp_path):
+        space = diagonal_space(PrimeField(3), [1, 1, 1, 1])
+        path = str(tmp_path / "census.json")
+        census = enumerate_group(space)
+        assert verify_length_formula(census).ok
+        save_census(census, path)
+        loaded = load_census(space, path)
+        assert counts == {"init": 0, "hash": 0}
+        for c in (census, loaded):
+            c.elements
+            assert counts["init"] == len(c)
+            c.elements
+            assert counts["init"] == len(c)
+            counts["init"] = 0
+        assert counts["hash"] == 0
+        assert all(loaded.contains(f) for f in census.elements)
+        assert [loaded.length_of(f) for f in census.elements] == \
+            [census.lengths[g] for g in census.codes]
+        assert counts == {"init": 0, "hash": 0}
 
 
 class TestCensusBasics:
@@ -182,6 +278,74 @@ class TestVerifications:
         report = verify_length_formula(census_f3_d2)
         data = report.to_json_dict()
         assert data["violations"] == 0 and data["checked"] == 8
+
+
+def reference_expected_length(f):
+    """The per-element rule the residue check replaced: dim Mov(f), plus 2
+    when Mov(f) is totally singular, from the boxed moved space."""
+    mov = moved_space(f)
+    if f.is_identity():
+        return 0
+    if f.space.is_totally_singular(mov):
+        return mov.dim + 2
+    return mov.dim
+
+
+def expected_lengths(census):
+    """The length verify_length_formula expects for each element, read off
+    the witnesses of a census whose every recorded length is -1."""
+    blank = GroupCensus(census.space, census.codes, dict.fromkeys(census.codes, -1))
+    report = verify_length_formula(blank)
+    assert report.checked == len(census)
+    return {key: expected for key, _, expected in report.violations}
+
+
+def hyperbolic_plus(field, diagonal):
+    """The hyperbolic plane [[0, 1], [1, 0]] plus a diagonal part."""
+    n = 2 + len(diagonal)
+    form = [[0] * n for _ in range(n)]
+    form[0][1] = form[1][0] = 1
+    for i, d in enumerate(diagonal):
+        form[2 + i][2 + i] = d
+    return QuadraticSpace(field, form)
+
+
+LENGTH_CHECK_SPACES = {
+    "O+(4,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1, 1, 1]),
+    "O-(4,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1, 1, -1]),
+    "O(3,F_5)": lambda: diagonal_space(PrimeField(5), [1, 1, 1]),
+    "O(3,F_7)": lambda: diagonal_space(PrimeField(7), [1, 1, 1]),
+    "H+(1)+(1) over F_3": lambda: hyperbolic_plus(PrimeField(3), [1, 1]),
+    "H+(1)+(-1) over F_3": lambda: hyperbolic_plus(PrimeField(3), [1, -1]),
+    "H+(1) over F_3": lambda: hyperbolic_plus(PrimeField(3), [1]),
+    "H+(2) over F_5": lambda: hyperbolic_plus(PrimeField(5), [2]),
+    "dense over F_3": lambda: QuadraticSpace(PrimeField(3), [[1, 1, 1], [1, 2, 0], [1, 0, 1]]),
+    "dense over F_5": lambda: QuadraticSpace(PrimeField(5), [[2, 1, 1], [1, 3, 2], [1, 2, 1]]),
+}
+
+
+class TestLengthCheckOnResidues:
+    """verify_length_formula against the boxed moved-space rule it replaced."""
+
+    @pytest.fixture(scope="class", params=sorted(LENGTH_CHECK_SPACES))
+    def census(self, request):
+        return enumerate_group(LENGTH_CHECK_SPACES[request.param]())
+
+    def test_same_expected_length_as_moved_space_rule(self, census):
+        expected = expected_lengths(census)
+        assert expected == {f.key(): reference_expected_length(f)
+                            for f in census.elements}
+        assert verify_length_formula(census).ok
+
+    def test_one_changed_length_gives_one_violation(self, census):
+        k = len(census) // 2
+        g, f = census.codes[k], census.elements[k]
+        lengths = dict(census.lengths)
+        lengths[g] += 1
+        report = verify_length_formula(GroupCensus(census.space, census.codes, lengths))
+        assert report.checked == len(census)
+        assert report.violations == [(f.key(), census.lengths[g] + 1,
+                                       reference_expected_length(f))]
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,11 +15,19 @@ from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
                       positive_factorization, positive_less_equal,
                       positive_reflection_length, positivity_report,
                       reflection_length, spinor_norm, wall_form)
+import wallfact.field as field_mod
 import wallfact.positive as positive_mod
+from wallfact import jsonio
+from wallfact.cli import main
 from wallfact.factor import CertificateError, Factorization, bilinear_value
 from wallfact.hyperbolic import classify, interval_membership, lorentz_space
 from wallfact.positive import positive_vector_for
 from tests.conftest import random_isometry, random_positive_isometry
+
+
+# Q(u) and Q(v) are primes of 100 and 101 bits in diag(1, 1, -1)
+LARGE_PRIME_NORM_VECTORS = ((717806724098554, 620579817928981, 0),
+                            (701143936145966, 1076406542435165, 0))
 
 
 def check_positive_triangular(X, rows, first_only=False):
@@ -88,9 +97,7 @@ class TestIsPositiveIsometry:
         # of det(chi_f) = Q(u) Q(v) is square-free only after factoring a
         # 201-bit number; the sign needs no factoring
         space = diagonal_space(QQ, [1, 1, -1])
-        u = (717806724098554, 620579817928981, 0)
-        v = (701143936145966, 1076406542435165, 0)
-        ru, rv = space.reflection(u), space.reflection(v)
+        ru, rv = (space.reflection(u) for u in LARGE_PRIME_NORM_VECTORS)
         f = ru @ rv
         for call, expected in ((lambda: len(positive_factorization(f)), 2),
                                (lambda: classify(f).value, "elliptic"),
@@ -98,6 +105,35 @@ class TestIsPositiveIsometry:
             start = time.perf_counter()
             assert call() == expected
             assert time.perf_counter() - start < 1.0
+
+
+class TestBoundedSpinor:
+    """``wallfact spinor`` prints the square-free part of det(chi_f), so on
+    the large-prime input above it must factor a 201-bit number; the rho
+    budget turns that into a domain error (exit 1)."""
+
+    def run_spinor(self, tmp_path, capsys):
+        space = diagonal_space(QQ, [1, 1, -1])
+        ru, rv = (space.reflection(u) for u in LARGE_PRIME_NORM_VECTORS)
+        form = tmp_path / "space.json"
+        form.write_text(json.dumps(jsonio.encode_space(space)))
+        iso = tmp_path / "f.json"
+        iso.write_text(json.dumps(jsonio.encode_isometry(ru @ rv)))
+        start = time.perf_counter()
+        code = main(["spinor", "--form", str(form), "--isometry", str(iso)])
+        elapsed = time.perf_counter() - start
+        return code, json.loads(capsys.readouterr().out)["error"], elapsed
+
+    def test_small_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(field_mod, "RHO_ITERATION_BUDGET", 10 ** 4)
+        code, error, _ = self.run_spinor(tmp_path, capsys)
+        assert (code, error) == (1, "FactoringBudgetExceeded")
+
+    @pytest.mark.slow
+    def test_real_budget_exits_1_within_30_s(self, tmp_path, capsys):
+        code, error, elapsed = self.run_spinor(tmp_path, capsys)
+        assert (code, error) == (1, "FactoringBudgetExceeded")
+        assert elapsed < 30
 
 
 class TestPositiveProbe:
