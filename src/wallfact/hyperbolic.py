@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factor import Factorization, split
+from .factor import Factorization
 from .field import QQ
 from .linalg import Matrix, Subspace, solve, subspace_intersection, vec_scale
 from .positive import is_positive_isometry
@@ -97,10 +97,14 @@ def hyperbolic_positive_factorization(f) -> Factorization:
     """Exactly dim Mov(f) positive reflections multiplying to f.
 
     While the moved space has dimension at least two, it meets the
-    coordinate hyperplane x_{n+1} = 0 non-trivially; any nonzero vector
-    there is positive and splits off one reflection.  These steps, the
-    positivity of the result and its length are checked by raising
-    CertificateError, so the checks also run under ``python -O``.
+    coordinate hyperplane x_{n+1} = 0 non-trivially; any nonzero vector v
+    there is positive.  Splitting Mov(g) at the line of v gives r_v (the one
+    isometry with that moved line and chi = Q(v)) times the rest, so the
+    rest is r_v g: one rank-one reflection update and one product, with no
+    Wall split.  Each peel is certified by r_v (r_v g) = g and by the moved
+    space losing exactly one dimension; the end result by its product, the
+    positivity of its vectors and its length.  Every check raises
+    CertificateError, so they also run under ``python -O``.
     """
     space = f.space
     _require_lorentz(space)
@@ -126,10 +130,17 @@ def hyperbolic_positive_factorization(f) -> Factorization:
         v = meet.basis[0]
         if not space.field.is_positive(space.q_value(v)):
             raise CertificateError("a vector with x_{n+1} = 0 is not positive")
-        line = Subspace(space.field, space.dim, [v])
-        _, g = split(g, line, side="right")
+        r = space.reflection(v)
+        rest = r @ g
+        if r @ rest != g:
+            raise CertificateError("the peeled reflection and the rest do not multiply back")
         vectors.append(v)
-        mov = moved_space(g)
+        g = rest
+        peeled = moved_space(g)
+        if peeled.dim != mov.dim - 1:
+            raise CertificateError("peeling a reflection left a moved space of dimension %d, "
+                                   "expected %d" % (peeled.dim, mov.dim - 1))
+        mov = peeled
     fact = Factorization(space, vectors, target=f)
     if not fact.is_positive():
         raise CertificateError("a reflecting vector of the factorization has Q(v) <= 0")

@@ -9,9 +9,11 @@ contains a positive vector; otherwise two extra reflections are needed.
 The constructive core: a triangular basis of chi consisting of positive
 vectors, built by induction.  The three-dimensional step finds an
 orthogonal pair of positive vectors in a non-symmetric form; the inductive
-step perturbs that pair into every coordinate direction (keeping positivity
-and orthogonality) until the right complement of a probe u carries a
-non-symmetric restriction, and recurses on that restriction.
+step tries that pair as a probe u and, only if the right complement of u
+carries a symmetric restriction, builds perturbations of the pair into
+every coordinate direction (keeping positivity and orthogonality) and tries
+them until one complement is non-symmetric; it recurses on that
+restriction.
 
 The induction needs some basis of each right complement, not a particular
 one: non-symmetry, the sign of the determinant and the triangular property
@@ -78,8 +80,8 @@ def is_positive_isometry(f) -> bool:
 
 
 def positivity_report(f) -> PositivityReport:
-    mov = moved_space(f)
     positive = is_positive_isometry(f)
+    mov = moved_space(f)
     return PositivityReport(
         spinor_positive=positive,
         mov_definiteness=f.space.definiteness(mov),
@@ -361,15 +363,36 @@ def positive_basis(X):
     return _positive_basis_rec(X)
 
 
+def _probes(X, v1, v2):
+    """The pair (v1, v2), then the perturbed pairs (v1 + a e_k, v2 + a w_k).
+
+    The perturbed pairs, with their partners w_k and the common step a, are
+    built only when the caller asks for more than the first pair, that is
+    after the unperturbed probe was rejected.
+    """
+    yield v1, v2
+    field = X.field
+    m = X.rows
+    units = [_unit(field, m, k) for k in range(m)]
+    partners = [perturb_orthogonal_pair(X, v1, v2, e) for e in units]
+    deltas = [perturb_positive_vector(X, v1, e) for e in units]
+    deltas += [perturb_positive_vector(X, v2, w) for w in partners]
+    a = min(deltas) / 2
+    for e, w in zip(units, partners):
+        yield vec_add(v1, vec_scale(a, e)), vec_add(v2, vec_scale(a, w))
+
+
 def _positive_basis_rec(X):
     """The induction of positive_basis on a form X with a positive basis.
 
     Dimensions 1 and 2 are direct.  From dimension 3 on, a positive,
     right-orthogonal pair (v1, v2) comes from a three-dimensional
-    restriction, and the probes u = v1 + a e_k (with partner v2 + a w_k,
-    still positive and orthogonal for the small a chosen) run through the
-    coordinate directions until the right complement of u carries a
-    non-symmetric form.  Its determinant has the sign of det X, since
+    restriction.  The first probe is u = v1 itself; only when its right
+    complement carries a symmetric form are the perturbed probes
+    u = v1 + a e_k built (with partner v2 + a w_k, still positive and
+    orthogonal for the small a chosen), and they run through the coordinate
+    directions until the right complement of u carries a non-symmetric
+    form.  Its determinant has the sign of det X, since
     X(u, u) > 0 and the basis (u, complement) is block triangular for X.
     The recursion on that complement may use any of its bases: the one
     taken is an LLL-reduced integer kernel basis, so the recursive form
@@ -407,15 +430,7 @@ def _positive_basis_rec(X):
     pair = orthogonal_positive_pair_3d(X3)
     v1, v2 = combine(field, [pair.v1, pair.v2], sub_rows, m)
 
-    units = [_unit(field, m, k) for k in range(m)]
-    partners = [perturb_orthogonal_pair(X, v1, v2, e) for e in units]
-    deltas = [perturb_positive_vector(X, v1, e) for e in units]
-    deltas += [perturb_positive_vector(X, v2, w) for w in partners]
-    a = min(deltas) / 2
-    probes = [(v1, v2)]
-    probes += [(vec_add(v1, vec_scale(a, e)), vec_add(v2, vec_scale(a, w)))
-               for e, w in zip(units, partners)]
-    for u, partner in probes:
+    for u, partner in _probes(X, v1, v2):
         R = right_complement_rows(X, u)
         XR = restrict_bilinear(X, R)
         if XR.is_symmetric():

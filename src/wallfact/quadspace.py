@@ -209,9 +209,16 @@ def lagrange_diagonalize(G):
 
 
 class Isometry:
-    """An invertible linear map preserving Q, as a matrix acting on columns."""
+    """An invertible linear map preserving Q, as a matrix acting on columns.
 
-    __slots__ = ("space", "matrix")
+    Isometries are immutable, so the Wall form is kept once computed: the
+    ``_wall`` slot starts as None and ``wall.wall_form`` fills it.  A
+    collection of isometries whose Wall forms have been read (an oracle
+    census run through ``verify_wall_bijection``, say) keeps one WallData
+    per isometry.
+    """
+
+    __slots__ = ("space", "matrix", "_wall")
 
     def __init__(self, space, matrix, _checked=False):
         M = matrix if isinstance(matrix, Matrix) else Matrix(space.field, matrix)
@@ -221,6 +228,7 @@ class Isometry:
             raise NotIsometry("matrix does not preserve the quadratic form")
         self.space = space
         self.matrix = M
+        self._wall = None
 
     @classmethod
     def identity(cls, space):

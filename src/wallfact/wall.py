@@ -53,7 +53,9 @@ def fixed_space(f) -> Subspace:
 
 
 def moved_space(f) -> Subspace:
-    """Mov(f) = im(id - f)."""
+    """Mov(f) = im(id - f); read from the kept Wall form once there is one."""
+    if f._wall is not None:
+        return f._wall.subspace
     return image(_displacement(f))
 
 
@@ -146,7 +148,12 @@ def wall_form(f) -> WallData:
     u_i = w_i - f(w_i), as the rows of W; then chi = W B U^T, that is
     chi[i][j] = beta(w_i, u_j), with B the polar matrix.  The result does
     not depend on the choice of the w_i.
+
+    Isometries are immutable, so the result is kept in f's ``_wall`` slot
+    and later calls return that same WallData.
     """
+    if f._wall is not None:
+        return f._wall
     space = f.space
     D = _displacement(f)
     mov = image(D)
@@ -154,7 +161,8 @@ def wall_form(f) -> WallData:
     if witnesses is None:
         raise CertificateError("moved-space vector outside the displacement image")
     W = Matrix._of(space.field, tuple(witnesses), space.dim)
-    return WallData(space, mov, W @ space.polar_matrix @ mov.basis_matrix().transpose())
+    f._wall = WallData(space, mov, W @ space.polar_matrix @ mov.basis_matrix().transpose())
+    return f._wall
 
 
 def isometry_from_wall(space, basis, chi) -> Isometry:

@@ -359,7 +359,7 @@ factor.isometry_from_wall = real_from_wall
 # wall_form: no witness found for the moved-space basis
 real_solve_all = wall.solve_all
 wall.solve_all = lambda A, vectors: None
-expect_certificate_error("wall_form", lambda: wall.wall_form(f))
+expect_certificate_error("wall_form", lambda: wall.wall_form(quadspace.Isometry(space, f.matrix)))
 wall.solve_all = real_solve_all
 
 # positive_factorization: the positivity check of the result fails
@@ -385,6 +385,23 @@ quadspace.QuadraticSpace.orthogonal_complement = (
 expect_certificate_error("parabolic_interval_description",
                          lambda: hyperbolic.parabolic_interval_description(parabolic))
 quadspace.QuadraticSpace.orthogonal_complement = real_complement
+
+# hyperbolic_positive_factorization: the moved space does not shrink after a peel
+real_moved_space = hyperbolic.moved_space
+moved_calls = []
+
+
+def stuck_moved_space(g):
+    moved_calls.append(g)
+    if len(moved_calls) > 2:
+        raise SystemExit("hyperbolic_positive_factorization peel: no CertificateError")
+    return real_moved_space(boost)
+
+
+hyperbolic.moved_space = stuck_moved_space
+expect_certificate_error("hyperbolic_positive_factorization peel",
+                         lambda: hyperbolic.hyperbolic_positive_factorization(boost))
+hyperbolic.moved_space = real_moved_space
 
 # hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
 hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)

@@ -13,6 +13,12 @@ from wallfact import (HyperbolicClass, NotPositive, QQ, Subspace, classify,
                       positive_reflection_length, wall_form)
 from wallfact.hyperbolic import (elliptic_example, hyperbolic_example,
                                  parabolic_example, is_lorentz)
+from wallfact import factor as factor_mod
+from wallfact import hyperbolic as hyperbolic_mod
+from wallfact import wall as wall_mod
+from wallfact.factor import split
+from wallfact.linalg import Matrix, subspace_intersection
+from wallfact.wall import CertificateError
 from tests.conftest import random_nonsingular_vector
 
 
@@ -117,6 +123,84 @@ class TestHyperbolicFactorization:
         L = lorentz_space(2)
         with pytest.raises(NotPositive):
             hyperbolic_positive_factorization(L.reflection((0, 0, 1)))
+
+
+def split_peel_reference(f):
+    """The peel loop as it was written with Wall splits: each step splits g at
+    the line of v and keeps the right factor."""
+    space = f.space
+    hyperplane = Subspace(space.field, space.dim,
+                          [space.standard_basis(i) for i in range(space.dim - 1)])
+    vectors = []
+    g = f
+    mov = moved_space(g)
+    while mov.dim:
+        if mov.dim == 1:
+            vectors.append(mov.basis[0])
+            break
+        v = subspace_intersection(mov, hyperplane).basis[0]
+        _, g = split(g, Subspace(space.field, space.dim, [v]), side="right")
+        vectors.append(v)
+        mov = moved_space(g)
+    return tuple(vectors)
+
+
+def peel_cases():
+    cases = []
+    for dim in range(3, 11):
+        L = lorentz_space(dim - 1)
+        cases += [elliptic_example(L), parabolic_example(L), hyperbolic_example(L)]
+    rng = random.Random(31)
+    while len(cases) < 24 + 30:
+        L = lorentz_space(rng.randint(2, 6))
+        f = random_positive_lorentz_isometry(L, rng, rng.randint(1, L.dim))
+        if not f.is_identity():
+            cases.append(f)
+    return cases
+
+
+class TestPeelByReflection:
+    """Each peel is r_v g, the right factor of the Wall split at span(v)."""
+
+    def test_same_vectors_as_the_split_loop(self):
+        for f in peel_cases():
+            assert hyperbolic_positive_factorization(f).vectors == split_peel_reference(f)
+
+    def test_no_split_inverse_or_wall_parametrization(self, monkeypatch):
+        cases = peel_cases()
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(factor_mod, "split", counted("split", factor_mod.split))
+        for module in (wall_mod, factor_mod, hyperbolic_mod):
+            monkeypatch.setattr(module, "isometry_from_wall",
+                                counted("isometry_from_wall", module.isometry_from_wall))
+        monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+        for f in cases:
+            fact = hyperbolic_positive_factorization(f)
+            assert len(fact) == moved_space(f).dim
+        assert calls == []
+
+    def test_moved_space_must_shrink(self, monkeypatch):
+        # the patched moved space of every peeled map is that of f itself;
+        # the first peel must be rejected, before a third call could loop
+        f = hyperbolic_example(lorentz_space(3))
+        real_moved_space = hyperbolic_mod.moved_space
+        calls = []
+
+        def stuck_moved_space(g):
+            calls.append(g)
+            assert len(calls) <= 2, "the peel was not rejected"
+            return real_moved_space(f)
+
+        monkeypatch.setattr(hyperbolic_mod, "moved_space", stuck_moved_space)
+        with pytest.raises(CertificateError):
+            hyperbolic_positive_factorization(f)
 
 
 class TestIntervalTests:

@@ -353,6 +353,106 @@ class TestPositiveBasis:
             done += 1
 
 
+class SymmetricLooking(Matrix):
+    """A form that reports itself symmetric, so the probe it belongs to is
+    rejected."""
+
+    __slots__ = ()
+
+    def is_symmetric(self):
+        return True
+
+
+class TestLazyProbes:
+    """_positive_basis_rec tries the unperturbed probe (v1, v2) first and
+    builds the perturbed probes only after it is rejected."""
+
+    @pytest.fixture
+    def perturbation_calls(self, monkeypatch):
+        calls = {"pair": 0, "vector": 0}
+
+        def count(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(positive_mod, "perturb_orthogonal_pair",
+                            count("pair", positive_mod.perturb_orthogonal_pair))
+        monkeypatch.setattr(positive_mod, "perturb_positive_vector",
+                            count("vector", positive_mod.perturb_positive_vector))
+        return calls
+
+    @pytest.fixture
+    def reject_first_probe(self, monkeypatch):
+        """Report the complement of the unperturbed probe as symmetric, at the
+        first level of the induction (or at every level, when asked)."""
+        state = {"levels": 1, "armed": False, "rejected": []}
+        real_probes = positive_mod._probes
+        real_restrict = positive_mod.restrict_bilinear
+
+        def probes(X, v1, v2):
+            gen = real_probes(X, v1, v2)
+            first = next(gen)
+            if len(state["rejected"]) < state["levels"]:
+                state["armed"] = True
+            yield first
+            yield from gen
+
+        def restrict(X, rows):
+            XR = real_restrict(X, rows)
+            if not state["armed"]:
+                return XR
+            state["armed"] = False
+            state["rejected"].append(XR)
+            return SymmetricLooking._of(XR.field, XR.entries, XR.cols)
+
+        monkeypatch.setattr(positive_mod, "_probes", probes)
+        monkeypatch.setattr(positive_mod, "restrict_bilinear", restrict)
+        return state
+
+    @pytest.mark.parametrize("levels", [1, 99])
+    def test_perturbed_probes_give_a_positive_basis(self, levels, reject_first_probe,
+                                                    perturbation_calls):
+        reject_first_probe["levels"] = levels
+        rng = random.Random(5)
+        X = random_positive_triangular_conjugate(rng, 5)
+        rows = positive_basis(X)
+        check_positive_triangular(X, rows)
+        assert len(reject_first_probe["rejected"]) == (1 if levels == 1 else 3)
+        assert perturbation_calls["pair"] and perturbation_calls["vector"]
+
+    @pytest.mark.parametrize("levels", [1, 99])
+    def test_perturbed_probes_certify_a_factorization(self, levels, reject_first_probe,
+                                                      perturbation_calls):
+        reject_first_probe["levels"] = levels
+        space = diagonal_space(QQ, [1, 1, 1, 1, -1, -1])
+        f = random_positive_isometry(space, random.Random(7), 6)
+        fact = positive_factorization(f)
+        assert fact.product() == f and fact.is_positive()
+        assert len(fact) == positive_reflection_length(f)
+        assert reject_first_probe["rejected"]
+        assert perturbation_calls["pair"] and perturbation_calls["vector"]
+
+    def test_seeded_draws_build_no_perturbations(self, perturbation_calls, monkeypatch):
+        levels = []
+        real_rec = positive_mod._positive_basis_rec
+
+        def rec(X):
+            levels.append(X.rows)
+            return real_rec(X)
+
+        monkeypatch.setattr(positive_mod, "_positive_basis_rec", rec)
+        for n in range(4, 11):
+            for negatives in (1, 2):
+                space = diagonal_space(QQ, [1] * (n - negatives) + [-1] * negatives)
+                f = random_positive_isometry(space, random.Random(n + 10 * negatives), n)
+                fact = positive_factorization(f)
+                assert fact.product() == f and fact.is_positive()
+        assert perturbation_calls == {"pair": 0, "vector": 0}
+        assert sum(1 for m in levels if m >= 3) >= 14
+
+
 @pytest.fixture(scope="module")
 def negdef_involution():
     """The step-stone example: an involution with negative definite moved plane."""

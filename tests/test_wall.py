@@ -8,7 +8,7 @@ from wallfact import (ChiQMismatch, DegenerateChi, Matrix, PrimeField, QQ,
                       isometry_from_wall, moved_space, spinor_norm, wall_form)
 from wallfact import wall
 from wallfact.linalg import bilinear_value
-from wallfact.wall import WallData, enumerate_isometries_with_moved_space
+from wallfact.wall import Isometry, WallData, enumerate_isometries_with_moved_space
 from tests.conftest import random_isometry, random_nonsingular_vector
 
 
@@ -105,6 +105,49 @@ class TestWallForm:
                     w2 = tuple(a + b for a, b in zip(w, extra))
                     for j, v in enumerate(wd.basis.entries):
                         assert space.polar(w2, v) == wd.chi[i, j]
+
+
+class TestKeptWallForm:
+    """An isometry keeps its Wall form once computed."""
+
+    def test_same_object_on_every_call(self, rng):
+        space = diagonal_space(QQ, [1, 2, -1, 3])
+        f = random_isometry(space, rng, 3)
+        assert wall_form(f) is wall_form(f)
+
+    def test_moved_space_before_and_after_the_form(self, rng):
+        from wallfact import image
+        space = diagonal_space(QQ, [1, 2, -1, 3])
+        for _ in range(10):
+            f = random_isometry(space, rng)
+            displacement_image = image(Matrix.identity(QQ, space.dim) - f.matrix)
+            assert moved_space(f) == displacement_image
+            wd = wall_form(f)
+            assert moved_space(f) == displacement_image
+            assert moved_space(f) is wd.subspace
+
+    def test_one_elimination_per_isometry(self, rng, monkeypatch):
+        from wallfact import (classify, lorentz_space, parabolic_interval_description,
+                              positive_factorization)
+        from wallfact.hyperbolic import hyperbolic_example, parabolic_example
+        from tests.conftest import random_positive_isometry
+        displacements = []
+        real_solve_all = wall.solve_all
+
+        def solve_all(A, vectors):
+            displacements.append(A)
+            return real_solve_all(A, vectors)
+
+        monkeypatch.setattr(wall, "solve_all", solve_all)
+        space = diagonal_space(QQ, [1, 1, -1, -1])
+        involution = Isometry(space, Matrix.diagonal(QQ, [1, 1, -1, -1]))
+        L = lorentz_space(3)
+        for f in [random_positive_isometry(space, rng, 4) for _ in range(5)] + [involution]:
+            positive_factorization(f)
+        classify(hyperbolic_example(L))
+        parabolic_interval_description(parabolic_example(L))
+        assert displacements
+        assert len(displacements) == len(set(displacements))
 
 
 def reference_wall_form(f):
