@@ -7,6 +7,12 @@ above the diagonal peels f into reflections r_{e_1} ... r_{e_m} one split at
 a time.  In the totally singular case one auxiliary reflection is prepended
 first.  ``reflection_distance(g, h)`` = l(g^-1 h) is the one length rule.
 
+``triangular_rows`` is the one triangular-basis routine, one
+``triangular_step`` per level.  Its two first-level arguments pick the basis
+of u's right complement (RREF rows by default) and the scalar of the repair
+u + a v; lower levels take the defaults.  ``small_vectors`` is the one scan
+of e_i, e_i + e_j and e_i - e_j; each vector finder takes its first hit.
+
 A Factorization with a target is certified on construction: its word,
 multiplied out by rank-one updates (``linalg.reflection_product``), must
 equal the whole target matrix, or ProductMismatch is raised.
@@ -15,7 +21,7 @@ equal the whole target matrix, or ProductMismatch is raised.
 from __future__ import annotations
 
 from .linalg import (Matrix, bilinear_value, combine, image, kernel, reflection_product,
-                     vec_add, vec_scale)
+                     restrict_bilinear, vec_add, vec_scale)
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
@@ -79,32 +85,32 @@ def right_complement_rows(X, u):
     return kernel(Matrix._of(X.field, (form_row(X, u),), X.rows)).basis
 
 
-def restrict_bilinear(X, rows):
-    """Matrix C X C^T of the form on the coordinate rows C."""
-    C = Matrix(X.field, rows, cols=X.rows)
-    return C @ X @ C.transpose()
-
-
 def _unit(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
+
+
+def small_vectors(X):
+    """(v, X(v, v)) for the unit vectors e_i, then for e_i + e_j and e_i - e_j
+    (i < j), with the values read off the entries of X."""
+    field = X.field
+    m = X.rows
+    for i in range(m):
+        yield _unit(field, m, i), X[i, i]
+    for i in range(m):
+        for j in range(i + 1, m):
+            diag, cross = X[i, i] + X[j, j], X[i, j] + X[j, i]
+            ei, ej = _unit(field, m, i), _unit(field, m, j)
+            yield vec_add(ei, ej), diag + cross
+            yield tuple(a - b for a, b in zip(ei, ej)), diag - cross
 
 
 def nonalternating_witness(X):
     """A coordinate vector u with X(u, u) != 0, or None if X is alternating.
 
-    Scanning the diagonal and then pairwise basis sums is exhaustive: the
-    squared value of any vector expands over exactly those quantities.
+    The small vectors are exhaustive: the squared value of any vector
+    expands over the diagonal and the pairwise sums X(e_i, e_j) + X(e_j, e_i).
     """
-    field = X.field
-    m = X.rows
-    for i in range(m):
-        if X[i, i]:
-            return _unit(field, m, i)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if X[i, j] + X[j, i]:
-                return vec_add(_unit(field, m, i), _unit(field, m, j))
-    return None
+    return next((v for v, value in small_vectors(X) if value), None)
 
 
 def _scalar_candidates(field):
@@ -113,13 +119,47 @@ def _scalar_candidates(field):
     return tuple(field.nonzero_elements())
 
 
+def _generic_repair(X, u, v):
+    """A scalar a with X(u + a v, u + a v) = X(u, u) + a X(v, u) nonzero."""
+    uu = bilinear_value(X, u, u)
+    vu = bilinear_value(X, v, u)
+    return next(c for c in _scalar_candidates(X.field) if uu + c * vu)
+
+
+def triangular_step(X, u, complement, repair):
+    """One level of a triangular basis: (u, R, X_R, witness), with R the
+    ``complement`` rows of u and witness non-alternating for X_R = X|_R.
+
+    If X_R is alternating, u becomes u + a v for a row v of R (one with
+    X(v, u) != 0 if any) and a = ``repair(X, u, v)``; after that the
+    complement cannot stay alternating, else CertificateError.
+    """
+    for _attempt in range(2):
+        R = complement(X, u)
+        XR = restrict_bilinear(X, R)
+        wit = nonalternating_witness(XR)
+        if wit is not None:
+            return u, R, XR, wit
+        v = next((r for r in R if bilinear_value(X, r, u)), R[0])
+        u = vec_add(u, vec_scale(repair(X, u, v), v))
+    raise CertificateError("triangular repair did not terminate")
+
+
+def triangular_rows(X, u, complement=right_complement_rows, repair=_generic_repair):
+    """Triangular basis of X starting at u (X(u, u) != 0): one
+    ``triangular_step`` per level, the given complement and repair at the
+    first level and the generic ones below it."""
+    if X.rows == 1:
+        return [u]
+    u, R, XR, wit = triangular_step(X, u, complement, repair)
+    return [u, *combine(X.field, triangular_rows(XR, wit), R, X.rows)]
+
+
 def triangular_basis(chi):
     """Coordinate rows e_1..e_m with chi(e_i,e_i) != 0 and chi(e_i,e_j) = 0 for i<j.
 
     Requires chi non-degenerate and not alternating.  The first vector is a
-    non-alternating witness; if the form turns alternating on its right
-    complement, the witness is repaired by adding a suitable multiple of a
-    complement vector, after which the complement cannot stay alternating.
+    non-alternating witness, repaired where ``triangular_step`` needs it.
     """
     m = chi.rows
     if m == 0:
@@ -129,30 +169,7 @@ def triangular_basis(chi):
     u = nonalternating_witness(chi)
     if u is None:
         raise AlternatingForm("chi(u, u) = 0 for every u")
-    return _triangular_rec(chi, u)
-
-
-def _triangular_rec(X, u):
-    k = X.rows
-    if k == 1:
-        return [u]
-    R = XR = wit = None
-    for _attempt in range(2):
-        R = right_complement_rows(X, u)
-        XR = restrict_bilinear(X, R)
-        wit = nonalternating_witness(XR)
-        if wit is not None:
-            break
-        # the complement is non-degenerate alternating: pick v there, make
-        # u + a v non-alternating while keeping its square nonzero
-        v = next((r for r in R if bilinear_value(X, r, u)), R[0])
-        uu = bilinear_value(X, u, u)
-        vu = bilinear_value(X, v, u)
-        a = next(c for c in _scalar_candidates(X.field) if uu + c * vu)
-        u = vec_add(u, vec_scale(a, v))
-    else:
-        raise AssertionError("triangular repair did not terminate")
-    return [u, *combine(X.field, _triangular_rec(XR, wit), R, k)]
+    return triangular_rows(chi, u)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +221,11 @@ def is_minimal(f) -> bool:
 
 
 def nonsingular_vector(space):
-    """Some v with Q(v) != 0; scans the standard basis, then pairwise sums."""
-    for i in range(space.dim):
-        e = space.standard_basis(i)
-        if space.q_value(e):
-            return e
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            v = vec_add(space.standard_basis(i), space.standard_basis(j))
-            if space.q_value(v):
-                return v
-    raise AssertionError("Q vanishes on all basis vectors and sums; the form would be degenerate")
+    """Some v with Q(v) != 0: the first of the small vectors of the Gram matrix."""
+    v = next((v for v, q in small_vectors(space.gram) if q), None)
+    if v is None:
+        raise CertificateError("Q vanishes on all small vectors; the form would be degenerate")
+    return v
 
 
 def minimal_factorization(f) -> Factorization:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .factor import Factorization
 from .field import QQ
-from .linalg import Matrix, Subspace, solve, subspace_intersection, vec_scale
+from .linalg import Matrix, Subspace, combine, kernel, solve, subspace_intersection, vec_scale
 from .positive import is_positive_isometry
 from .quadspace import Isometry, QuadraticSpace, diagonal_space
 from .wall import (CertificateError, fixed_space, isometry_from_wall, moved_space,
@@ -110,8 +110,7 @@ def hyperbolic_positive_factorization(f) -> Factorization:
     _require_lorentz(space)
     if not is_positive_isometry(f):
         raise NotPositive("only positive isometries factor positively here")
-    hyperplane = Subspace(space.field, space.dim,
-                          [space.standard_basis(i) for i in range(space.dim - 1)])
+    field, n = space.field, space.dim
     mov = moved_space(f)
     mov_dim = mov.dim
     vectors = []
@@ -123,7 +122,9 @@ def hyperbolic_positive_factorization(f) -> Factorization:
                 raise CertificateError("the moved line of a positive isometry is not positive")
             vectors.append(u)
             break
-        meet = subspace_intersection(mov, hyperplane)
+        # the coordinates a with sum a_i b_i[-1] = 0 on the basis rows b_i
+        last = Matrix._of(field, (tuple(b[-1] for b in mov.basis),), mov.dim)
+        meet = Subspace(field, n, combine(field, kernel(last).basis, mov.basis, n))
         if meet.dim < mov.dim - 1:
             raise CertificateError("the moved space meets x_{n+1} = 0 in dimension %d, "
                                    "expected at least %d" % (meet.dim, mov.dim - 1))

@@ -32,14 +32,15 @@ F_p on int residues.  ``preserves_form(M, S)`` decides M^T S M = S on the
 same integer rows (A^T G A = d^2 G for A = d M, G = s S) or residues,
 without building a product matrix.
 
-The coordinate layer goes through two helpers built on those kernels.
+The coordinate layer goes through three helpers built on those kernels.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
-coordinates, u X v^T as the dot product of u with ``X.apply(v)``; and
-``combine(field, coords, rows, ncols)`` is the one row combination, the
-rows of C B for coordinate rows C and basis rows B, as a matrix product.
-Coordinates on a subspace map back to ambient vectors, and vectors found in
-a complement map back to the coordinates of the larger form, through
-``combine``.
+coordinates, u X v^T as the dot product of u with ``X.apply(v)``;
+``restrict_bilinear(X, rows)`` is the one restriction of a form, the matrix
+C X C^T on coordinate rows C; and ``combine(field, coords, rows, ncols)`` is
+the one row combination, the rows of C B for coordinate rows C and basis
+rows B, as a matrix product.  Coordinates on a subspace map back to ambient
+vectors, and vectors found in a complement map back to the coordinates of
+the larger form, through ``combine``.
 """
 
 from __future__ import annotations
@@ -446,6 +447,12 @@ def bilinear_value(X, u, v):
     if not X.rows:
         return X.field.zero
     return dot(tuple(map(X.field, u)), X.apply(v))
+
+
+def restrict_bilinear(X, rows):
+    """Matrix C X C^T of the form X on the coordinate rows C."""
+    C = Matrix(X.field, rows, cols=X.rows)
+    return C @ X @ C.transpose()
 
 
 def combine(field, coords, rows, ncols):

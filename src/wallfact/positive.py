@@ -6,6 +6,12 @@ isometries factor into positive reflections, with length dim Mov(f) exactly
 when Mov(f) is positive definite or f is a non-involution whose moved space
 contains a positive vector; otherwise two extra reflections are needed.
 
+Positive bases start from ``factor.triangular_rows`` at the first positive
+vector of ``factor.small_vectors``, with two first-level arguments: the
+LLL-reduced complement and the repair scalar chi(v, u) (1 if it vanishes),
+which keeps the first square positive.  ``_positive_route`` is the one rule
+behind both the route of a positive factorization and its length.
+
 The constructive core: a triangular basis of chi consisting of positive
 vectors, built by induction.  The three-dimensional step finds an
 orthogonal pair of positive vectors in a non-symmetric form; the inductive
@@ -35,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import (CertificateError, Factorization, form_row, nonalternating_witness,
-                     restrict_bilinear, triangular_basis, _triangular_rec, _unit)
+from .factor import (CertificateError, Factorization, form_row, small_vectors, triangular_basis,
+                     triangular_rows, triangular_step, _unit)
 from .field import UnorderedField, rational_square_in_interval
 from .lattice import kernel_basis
-from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, solve,
+from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, restrict_bilinear, solve,
                      subspace_intersection, vec_add, vec_scale, _int_row)
 from .quadspace import lagrange_diagonalize
 from .wall import fixed_space, moved_space, wall_form
@@ -96,22 +102,14 @@ def positivity_report(f) -> PositivityReport:
 def positive_vector_for(X):
     """Coordinates of some u with X(u, u) > 0, or None when none exists.
 
-    Scans the standard basis and pairwise sums and differences first; if
-    those fail, diagonalizes the symmetrized form, which decides existence
-    exactly.
+    Takes the first positive small vector (``factor.small_vectors``); if
+    there is none, diagonalizes the symmetrized form, which decides
+    existence exactly.
     """
+    u = next((v for v, value in small_vectors(X) if value > 0), None)
+    if u is not None:
+        return u
     field = X.field
-    m = X.rows
-    for i in range(m):
-        if X[i, i] > 0:
-            return _unit(field, m, i)
-    for i in range(m):
-        for j in range(i + 1, m):
-            cross = X[i, j] + X[j, i]
-            if X[i, i] + X[j, j] + cross > 0:
-                return vec_add(_unit(field, m, i), _unit(field, m, j))
-            if X[i, i] + X[j, j] - cross > 0:
-                return tuple(a - b for a, b in zip(_unit(field, m, i), _unit(field, m, j)))
     half = field.one / field(2)
     sym = (X + X.transpose()).scale(half)
     diag, C = lagrange_diagonalize(sym)
@@ -127,7 +125,7 @@ def _certify(condition, message):
         raise CertificateError(message)
 
 
-def right_complement_rows(X, u):
+def reduced_right_complement_rows(X, u):
     """An LLL-reduced basis of the integer rows y with u X y^T = 0 (over Q).
 
     The row u X is scaled to integers over the lcm of its denominators, which
@@ -139,45 +137,33 @@ def right_complement_rows(X, u):
     return tuple(tuple(map(Fraction, y)) for y in kernel_basis(a))
 
 
-def left_complement_rows(X, u):
+def reduced_left_complement_rows(X, u):
     """An LLL-reduced basis of the integer rows y with y X u^T = 0 (over Q)."""
-    return right_complement_rows(X.transpose(), u)
+    return reduced_right_complement_rows(X.transpose(), u)
+
+
+def _positive_repair(X, u, v):
+    """chi(v, u), or 1 if it vanishes: u + a v has square chi(u, u) + a chi(v, u) > 0."""
+    vu = bilinear_value(X, v, u)
+    return vu if vu else X.field.one
 
 
 def basis_with_one_positive_vector(X):
     """Triangular basis whose first vector has positive square.
 
-    Works like the plain triangular basis, except the starting vector is a
-    positive witness and the repair scalar is chosen as chi(v, u), which
-    adds the square chi(v, u)^2 to the already positive chi(u, u).
+    ``factor.triangular_rows`` from a positive small vector, with the
+    LLL-reduced complement and the positive repair at the first level.
     """
-    field = X.field
-    if not field.is_ordered:
+    if not X.field.is_ordered:
         raise TypeError("positive bases need an ordered field")
-    m = X.rows
-    if m == 0:
+    if X.rows == 0:
         return []
     if not X.det():
         raise ValueError("basis search on a degenerate form")
     u = positive_vector_for(X)
     if u is None:
         raise NoPositiveVector("chi(u, u) <= 0 on the whole space")
-    if m == 1:
-        return [u]
-    R = XR = wit = None
-    for _attempt in range(2):
-        R = right_complement_rows(X, u)
-        XR = restrict_bilinear(X, R)
-        wit = nonalternating_witness(XR)
-        if wit is not None:
-            break
-        v = next((r for r in R if bilinear_value(X, r, u)), R[0])
-        vu = bilinear_value(X, v, u)
-        a = vu if vu else field.one
-        u = vec_add(u, vec_scale(a, v))
-    else:
-        raise CertificateError("triangular repair did not terminate")
-    return [u, *combine(field, _triangular_rec(XR, wit), R, m)]
+    return triangular_rows(X, u, reduced_right_complement_rows, _positive_repair)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +176,11 @@ class PositivePair:
     case: str
 
 
-def _check_pair(X, v1, v2):
+def _checked_pair(X, v1, v2, case):
     _certify(bilinear_value(X, v1, v1) > 0, "first vector not positive")
     _certify(bilinear_value(X, v2, v2) > 0, "second vector not positive")
     _certify(not bilinear_value(X, v1, v2), "pair not right-orthogonal")
+    return PositivePair(v1, v2, case)
 
 
 def orthogonal_positive_pair_3d(X) -> PositivePair:
@@ -213,30 +200,25 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
         raise SymmetricChi("the pair construction needs a non-symmetric form")
     if not X.det():
         raise ValueError("pair construction on a degenerate form")
-    basis = basis_with_one_positive_vector(X)
-    e1 = basis[0]
-
-    right = right_complement_rows(X, e1)
-    left = left_complement_rows(X, e1)
+    u = positive_vector_for(X)
+    if u is None:
+        raise NoPositiveVector("chi(u, u) <= 0 on the whole space")
+    e1, right, _, wit = triangular_step(X, u, reduced_right_complement_rows, _positive_repair)
+    left = reduced_left_complement_rows(X, e1)
     both = subspace_intersection(Subspace(field, 3, right), Subspace(field, 3, left))
     _certify(both.dim >= 1, "the two complements of the first vector meet in zero")
     e2 = both.basis[0]
     d2 = bilinear_value(X, e2, e2)
     if d2 > 0:
-        pair = PositivePair(e1, e2, "immediate")
-        _check_pair(X, pair.v1, pair.v2)
-        return pair
+        return _checked_pair(X, e1, e2, "immediate")
 
     if not d2:
-        # second vector is null; find a non-null direction in the right complement
-        wit = nonalternating_witness(restrict_bilinear(X, right))
-        _certify(wit is not None, "complement of the first vector turned alternating")
+        # second vector is null; take the non-null direction of the right
+        # complement that the triangular step found
         (e3,) = combine(field, [wit], right, 3)
         t3 = bilinear_value(X, e3, e3)
         if t3 > 0:
-            pair = PositivePair(e1, e3, "immediate")
-            _check_pair(X, pair.v1, pair.v2)
-            return pair
+            return _checked_pair(X, e1, e3, "immediate")
         gamma = bilinear_value(X, e1, e1)
         delta = -t3
         a = bilinear_value(X, e3, e1)
@@ -248,15 +230,11 @@ def orthogonal_positive_pair_3d(X) -> PositivePair:
             # negative-second-vector route with it
             return _case_negative(X, e1, e3)
         if b + c:
-            v1 = e1
-            v2 = vec_add(vec_scale(2 * delta, e2), vec_scale(b + c, e3))
-            pair = PositivePair(v1, v2, "case1-nonzero-sum")
-        else:
-            v1 = vec_add(vec_scale(a * b, e1), vec_scale(gamma * delta, e2))
-            v2 = vec_add(vec_scale(delta, e1), vec_scale(a, e3))
-            pair = PositivePair(v1, v2, "case1-zero-sum")
-        _check_pair(X, pair.v1, pair.v2)
-        return pair
+            return _checked_pair(X, e1, vec_add(vec_scale(2 * delta, e2), vec_scale(b + c, e3)),
+                                 "case1-nonzero-sum")
+        v1 = vec_add(vec_scale(a * b, e1), vec_scale(gamma * delta, e2))
+        v2 = vec_add(vec_scale(delta, e1), vec_scale(a, e3))
+        return _checked_pair(X, v1, v2, "case1-zero-sum")
 
     return _case_negative(X, e1, e2)
 
@@ -273,9 +251,7 @@ def _case_negative(X, e1, e2):
     t = bilinear_value(X, e3, e3)
     _certify(t, "degenerate form: null vector right-orthogonal to everything")
     if t > 0:
-        pair = PositivePair(e1, e3, "immediate")
-        _check_pair(X, pair.v1, pair.v2)
-        return pair
+        return _checked_pair(X, e1, e3, "immediate")
     eps = -t
     a = bilinear_value(X, e3, e1)
     b = bilinear_value(X, e3, e2)
@@ -291,9 +267,7 @@ def _case_negative(X, e1, e2):
     v1 = vec_add(vec_scale(q, e1), e2)
     v2 = vec_add(vec_add(e1, vec_scale(gamma / delta * q, e2)),
                  vec_scale((a + gamma / delta * b * q) / (2 * eps), e3))
-    pair = PositivePair(v1, v2, case)
-    _check_pair(X, pair.v1, pair.v2)
-    return pair
+    return _checked_pair(X, v1, v2, case)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +405,7 @@ def _positive_basis_rec(X):
     v1, v2 = combine(field, [pair.v1, pair.v2], sub_rows, m)
 
     for u, partner in _probes(X, v1, v2):
-        R = right_complement_rows(X, u)
+        R = reduced_right_complement_rows(X, u)
         XR = restrict_bilinear(X, R)
         if XR.is_symmetric():
             continue
@@ -447,12 +421,15 @@ def _positive_basis_rec(X):
 # ---------------------------------------------------------------------------
 # positive reflection length and factorization
 
-def positive_reflection_length(f) -> int:
-    """Minimal number of positive reflections multiplying to f."""
+def _positive_route(f):
+    """(route, positive length) of f: "definite" (Mov(f) positive definite,
+    or f = id) and "positive_basis" (a non-involution with a positive vector
+    in Mov(f)) take dim Mov(f); "prepend" (Mov(f) negative semi-definite)
+    and "peel" (an involution with indefinite Mov(f)) take dim Mov(f) + 2."""
     if not is_positive_isometry(f):
         raise NegativeSpinor("the isometry has negative spinor norm")
     if f.is_identity():
-        return 0
+        return "definite", 0
     space = f.space
     amb_pos, _, _ = space.inertia()
     if amb_pos == 0:
@@ -460,27 +437,24 @@ def positive_reflection_length(f) -> int:
     mov = moved_space(f)
     pos, neg, zero = space.inertia(mov)
     if neg == 0 and zero == 0:
-        return mov.dim
+        return "definite", mov.dim
     if not f.is_involution() and pos > 0:
-        return mov.dim
-    return mov.dim + 2
+        return "positive_basis", mov.dim
+    return ("prepend" if pos == 0 else "peel"), mov.dim + 2
+
+
+def positive_reflection_length(f) -> int:
+    """Minimal number of positive reflections multiplying to f."""
+    return _positive_route(f)[1]
 
 
 def _positive_vector_outside_fix(f):
     """A vector with Q(v) > 0 not fixed by f; exists whenever f != id."""
     space = f.space
     fix = fixed_space(f)
-    candidates = []
-    for i in range(space.dim):
-        candidates.append(space.standard_basis(i))
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            ei, ej = space.standard_basis(i), space.standard_basis(j)
-            candidates.append(vec_add(ei, ej))
-            candidates.append(tuple(a - b for a, b in zip(ei, ej)))
-    for v in candidates:
-        if space.field.is_positive(space.q_value(v)) and not fix.contains(v):
-            return v
+    v = next((v for v, q in small_vectors(space.gram) if q > 0 and not fix.contains(v)), None)
+    if v is not None:
+        return v
     diag, C = lagrange_diagonalize(space.gram)
     v0 = next(tuple(row) for d, row in zip(diag, C.entries) if d > 0)
     if not fix.contains(v0):
@@ -505,36 +479,23 @@ def positive_factorization(f) -> Factorization:
     the product non-symmetric; an involution with indefinite moved space
     peels positive directions until the moved space is negative definite.
     """
-    if not is_positive_isometry(f):
-        raise NegativeSpinor("the isometry has negative spinor norm")
+    route, _ = _positive_route(f)
     space = f.space
-    if f.is_identity():
-        return Factorization(space, (), target=f)
-    amb_pos, _, _ = space.inertia()
-    if amb_pos == 0:
-        raise ValueError("a negative definite space has no positive reflections")
-    wd = wall_form(f)
-    pos, neg, zero = space.inertia(wd.subspace)
-
     field, n = space.field, space.dim
-    if neg == 0 and zero == 0:
+    wd = wall_form(f)
+    if route == "definite":
         vectors = combine(field, triangular_basis(wd.chi), wd.subspace.basis, n)
-        fact = Factorization(space, vectors, target=f)
-    elif not f.is_involution() and pos > 0:
+    elif route == "positive_basis":
         vectors = combine(field, positive_basis(wd.chi), wd.subspace.basis, n)
-        fact = Factorization(space, vectors, target=f)
-    elif pos == 0:
+    elif route == "prepend":
         v = _positive_vector_outside_fix(f)
-        g = space.reflection(v) @ f
-        wg = wall_form(g)
+        wg = wall_form(space.reflection(v) @ f)
         _certify(not wg.is_symmetric(), "a non-fixed direction forces non-symmetry")
         vectors = (v, *combine(field, positive_basis(wg.chi), wg.subspace.basis, n))
-        fact = Factorization(space, vectors, target=f)
     else:
         (u,) = combine(field, [positive_vector_for(wd.chi)], wd.subspace.basis, n)
-        g = space.reflection(u) @ f
-        inner = positive_factorization(g)
-        fact = Factorization(space, (u,) + inner.vectors, target=f)
+        vectors = (u, *positive_factorization(space.reflection(u) @ f).vectors)
+    fact = Factorization(space, vectors, target=f)
     if not fact.is_positive():
         raise CertificateError("a reflecting vector of the factorization has Q(v) <= 0")
     length = positive_reflection_length(f)

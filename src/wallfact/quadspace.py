@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .field import UnorderedField
 from .linalg import (Matrix, Subspace, bilinear_value, kernel, preserves_form,
-                     reflection_product)
+                     reflection_product, restrict_bilinear)
 
 
 class DegenerateForm(Exception):
@@ -93,8 +93,7 @@ class QuadraticSpace:
         """Matrix of Q-values on a list of vectors: G[i][j] = u_i^T S u_j."""
         if isinstance(rows, Subspace):
             rows = rows.basis
-        C = Matrix(self.field, rows, cols=self.dim)
-        return C @ self.gram @ C.transpose()
+        return restrict_bilinear(self.gram, rows)
 
     def polar_gram_on(self, rows):
         """Matrix of the polar form on a list of vectors (twice gram_on)."""

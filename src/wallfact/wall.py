@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, combine, image, kernel, solve_all
+from .linalg import Matrix, Subspace, combine, image, kernel, restrict_bilinear, solve_all
 from .quadspace import Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
@@ -98,22 +98,21 @@ class WallData:
 
     def restrict(self, U):
         """Matrix of chi on the canonical basis of a subspace U of Mov(f)."""
-        C = self._coord_rows(U.basis)
-        return C @ self.chi @ C.transpose()
+        return restrict_bilinear(self.chi, [self.coordinates_of(u) for u in U.basis])
 
-    def _coords_to_ambient(self, coord_subspace):
+    def _complement(self, U, X):
+        """{v in Mov : u X v^T = 0 for all u in U}, as an ambient Subspace."""
         field, n = self.space.field, self.space.dim
-        return Subspace(field, n, combine(field, coord_subspace.basis, self.subspace.basis, n))
+        coords = kernel(self._coord_rows(U.basis) @ X).basis
+        return Subspace(field, n, combine(field, coords, self.subspace.basis, n))
 
     def right_complement(self, U):
         """{v in Mov : chi(u, v) = 0 for all u in U}."""
-        C = self._coord_rows(U.basis)
-        return self._coords_to_ambient(kernel(C @ self.chi))
+        return self._complement(U, self.chi)
 
     def left_complement(self, U):
         """{v in Mov : chi(v, u) = 0 for all u in U}."""
-        C = self._coord_rows(U.basis)
-        return self._coords_to_ambient(kernel(C @ self.chi.transpose()))
+        return self._complement(U, self.chi.transpose())
 
     def is_symmetric(self):
         return self.chi.is_symmetric()
@@ -263,8 +262,7 @@ def check_wall_properties(f, g) -> CheckReport:
     g_basis = [g.apply(u) for u in basis]
     ok = wh.subspace == Subspace(space.field, space.dim, g_basis)
     if ok:
-        C = wh._coord_rows(g_basis)
-        ok = C @ wh.chi @ C.transpose() == wd.chi
+        ok = restrict_bilinear(wh.chi, [wh.coordinates_of(v) for v in g_basis]) == wd.chi
     checks["conjugation_transports"] = ok
 
     checks["symmetric_iff_involution"] = (wd.is_symmetric() == f.is_involution())

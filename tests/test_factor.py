@@ -404,7 +404,7 @@ expect_certificate_error("hyperbolic_positive_factorization peel",
 hyperbolic.moved_space = real_moved_space
 
 # hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
-hyperbolic.subspace_intersection = lambda U, W: linalg.Subspace(QQ, U.ambient_dim)
+hyperbolic.kernel = lambda A: linalg.Subspace(QQ, A.cols)
 expect_certificate_error("hyperbolic_positive_factorization loop",
                          lambda: hyperbolic.hyperbolic_positive_factorization(boost))
 
@@ -461,3 +461,97 @@ def test_library_has_no_assert_statements():
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def reference_nonalternating_witness(X):
+    """The diagonal scan, then pairwise basis sums."""
+    field, m = X.field, X.rows
+    unit = [tuple(field.one if j == i else field.zero for j in range(m)) for i in range(m)]
+    for i in range(m):
+        if X[i, i]:
+            return unit[i]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if X[i, j] + X[j, i]:
+                return tuple(a + b for a, b in zip(unit[i], unit[j]))
+    return None
+
+
+def reference_nonsingular_vector(space):
+    """The standard basis, then pairwise sums, by their Q values."""
+    for i in range(space.dim):
+        if space.q_value(space.standard_basis(i)):
+            return space.standard_basis(i)
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            v = tuple(a + b for a, b in zip(space.standard_basis(i), space.standard_basis(j)))
+            if space.q_value(v):
+                return v
+    return None
+
+
+class TestSmallVectors:
+    """Every finder on ``small_vectors`` returns what its own scan returned."""
+
+    def test_values_are_the_squares(self, rng):
+        from wallfact.factor import small_vectors
+        X = Matrix(QQ, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+        found = list(small_vectors(X))
+        assert len(found) == 4 + 2 * 6
+        for v, value in found:
+            assert value == bilinear_value(X, v, v)
+
+    def test_nonalternating_witness_on_every_3x3_form_over_f3(self):
+        import itertools
+        from wallfact.factor import nonalternating_witness
+        field = PrimeField(3)
+        found = set()
+        for entries in itertools.product(range(3), repeat=9):
+            X = Matrix(field, [entries[0:3], entries[3:6], entries[6:9]])
+            expected = reference_nonalternating_witness(X)
+            assert nonalternating_witness(X) == expected
+            found.add(None if expected is None else sum(1 for x in expected if x))
+        assert found == {None, 1, 2}
+
+    def test_nonsingular_vector(self):
+        from wallfact import QuadraticSpace
+        f5 = PrimeField(5)
+        spaces = [diagonal_space(QQ, [1, -1]), diagonal_space(QQ, [3, 2, -5]),
+                  diagonal_space(f5, [2, 3, 1]),
+                  QuadraticSpace(QQ, Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 2]])),
+                  QuadraticSpace(QQ, Matrix(QQ, [[0, 1], [1, 0]])),
+                  QuadraticSpace(QQ, Matrix(QQ, [[0, 1, 2], [1, 0, 3], [2, 3, 0]])),
+                  QuadraticSpace(f5, Matrix(f5, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                                 [0, 0, 0, 2], [0, 0, 2, 0]]))]
+        pairs = 0
+        for space in spaces:
+            v = nonsingular_vector(space)
+            assert v == reference_nonsingular_vector(space)
+            pairs += sum(1 for x in v if x) == 2
+        assert pairs == 3
+
+
+class TestInternalChecksRaise:
+    """The internal invariants of factor.py raise CertificateError (exit 3),
+    not AssertionError."""
+
+    def test_unterminated_repair(self, monkeypatch):
+        import wallfact.factor as factor_mod
+        real = factor_mod.nonalternating_witness
+        calls = []
+
+        def witness(X):
+            # the start vector is found; every complement then looks alternating
+            calls.append(X)
+            return real(X) if len(calls) == 1 else None
+
+        monkeypatch.setattr(factor_mod, "nonalternating_witness", witness)
+        with pytest.raises(CertificateError):
+            triangular_basis(Matrix.diagonal(QQ, [1, 2, 3]))
+        assert len(calls) == 3
+
+    def test_no_nonsingular_small_vector(self, monkeypatch):
+        import wallfact.factor as factor_mod
+        monkeypatch.setattr(factor_mod, "small_vectors", lambda X: iter(()))
+        with pytest.raises(CertificateError):
+            nonsingular_vector(diagonal_space(QQ, [1, -1]))

@@ -610,3 +610,82 @@ class TestPositiveOrder:
         space = diagonal_space(QQ, [1, -1])
         with pytest.raises(NegativeSpinor):
             positive_less_equal(space.reflection((0, 1)), space.identity_isometry())
+
+
+def reference_positive_vector_scan(X):
+    """The scan positive_vector_for ran before diagonalizing: the standard
+    basis, then per pair the sum and the difference.  Returns the vector and
+    the branch that found it, or (None, None)."""
+    m = X.rows
+    unit = [tuple(QQ(int(i == j)) for j in range(m)) for i in range(m)]
+    for i in range(m):
+        if X[i, i] > 0:
+            return unit[i], "unit"
+    for i in range(m):
+        for j in range(i + 1, m):
+            cross = X[i, j] + X[j, i]
+            if X[i, i] + X[j, j] + cross > 0:
+                return tuple(a + b for a, b in zip(unit[i], unit[j])), "sum"
+            if X[i, i] + X[j, j] - cross > 0:
+                return tuple(a - b for a, b in zip(unit[i], unit[j])), "difference"
+    return None, None
+
+
+class TestPositiveSmallVectors:
+    def test_same_vector_as_the_reference_scan(self):
+        rng = random.Random(4141)
+        branches = set()
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            X = Matrix(QQ, [[rng.randint(-3, 1) if i == j else rng.randint(-3, 3)
+                             for j in range(m)] for i in range(m)])
+            expected, branch = reference_positive_vector_scan(X)
+            if expected is not None:
+                assert positive_vector_for(X) == expected
+            branches.add(branch)
+        assert {"unit", "sum", "difference", None} <= branches
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [0, 0, 1], [1, 2, -1]],
+        [[1, 0, 0], [0, 0, -2], [1, 2, -1]],
+        [[1, 0, 0], [0, -1, 0], [1, 0, -1]],
+        [[1, 0, 0], [0, -1, 0], [0, 1, Fraction(-1, 8)]],
+    ])
+    def test_pair_cases_start_at_the_first_basis_vector(self, rows):
+        from wallfact.factor import triangular_step
+        X = Matrix(QQ, rows)
+        e1, right, XR, wit = triangular_step(X, positive_vector_for(X),
+                                             positive_mod.reduced_right_complement_rows,
+                                             positive_mod._positive_repair)
+        assert e1 == basis_with_one_positive_vector(X)[0]
+        assert bilinear_value(X, e1, e1) > 0
+        assert all(not bilinear_value(X, e1, r) for r in right)
+        assert bilinear_value(XR, wit, wit)
+
+
+def lorentz_peel_involution():
+    """-id on diag(1, 1, -1, -1): an involution with indefinite moved space."""
+    space = diagonal_space(QQ, [1, 1, -1, -1])
+    return space, isometry_from_wall(space, Subspace.full(QQ, 4), space.gram)
+
+
+class TestPositiveRoute:
+    """One rule picks the route of positive_factorization and the length."""
+
+    def cases(self, negdef_involution):
+        plane = diagonal_space(QQ, [1, -1])
+        from wallfact import Isometry
+        boost = Isometry(plane, [[Fraction(5, 3), Fraction(4, 3)],
+                                 [Fraction(4, 3), Fraction(5, 3)]])
+        return [("definite", plane.reflection((1, 0)), 1),
+                ("definite", plane.identity_isometry(), 0),
+                ("positive_basis", boost, 2),
+                ("prepend", negdef_involution[1], 4),
+                ("peel", lorentz_peel_involution()[1], 6)]
+
+    def test_route_and_length(self, negdef_involution):
+        for route, f, length in self.cases(negdef_involution):
+            assert positive_mod._positive_route(f) == (route, length)
+            assert positive_reflection_length(f) == length
+            fact = positive_factorization(f)
+            assert len(fact) == length and fact.product() == f and fact.is_positive()
