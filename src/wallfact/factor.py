@@ -15,7 +15,9 @@ of e_i, e_i + e_j and e_i - e_j; each vector finder takes its first hit.
 
 A Factorization with a target is certified on construction: its word,
 multiplied out by rank-one updates (``linalg.reflection_product``), must
-equal the whole target matrix, or ProductMismatch is raised.
+equal the whole target matrix, or ProductMismatch is raised.  Q(v) != 0 is
+checked by that product, which computes each Q(v); without a target, by
+``q_value`` on the integer form of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -45,12 +47,17 @@ class Factorization:
 
     def __init__(self, space, vectors, target=None):
         vectors = tuple(space.vector(v) for v in vectors)
-        for v in vectors:
-            if not space.q_value(v):
-                raise SingularVector("factorization vector with Q(v) = 0")
         self.space = space
         self.vectors = vectors
-        if target is not None and self.product() != target:
+        if target is None:
+            if not all(map(space.q_value, vectors)):
+                raise SingularVector("factorization vector with Q(v) = 0")
+            return
+        try:
+            product = self.product()
+        except ZeroDivisionError:
+            raise SingularVector("factorization vector with Q(v) = 0") from None
+        if product != target:
             raise ProductMismatch("reflection product does not reproduce the target isometry")
 
     def __len__(self):

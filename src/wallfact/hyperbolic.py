@@ -66,7 +66,7 @@ def classify(f) -> HyperbolicClass:
     """Elliptic / parabolic / hyperbolic, via the moved space.
 
     Cross-checked against the fixed-space criterion; the two must agree on a
-    Lorentz space, and a disagreement is an internal error.
+    Lorentz space, and a disagreement raises CertificateError.
     """
     space = f.space
     _require_lorentz(space)
@@ -89,7 +89,7 @@ def classify(f) -> HyperbolicClass:
         by_fix = HyperbolicClass.HYPERBOLIC
 
     if by_mov != by_fix:
-        raise AssertionError("moved-space and fixed-space classifications disagree")
+        raise CertificateError("moved-space and fixed-space classifications disagree")
     return by_mov
 
 

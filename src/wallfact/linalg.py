@@ -6,19 +6,27 @@ two Subspace objects are equal (and hash alike) exactly when they describe
 the same subspace.  Everything is plain Gaussian elimination; inputs are
 desk-scale and exactness beats asymptotics here.
 
-Each field has one set of kernels (products, elimination and determinants;
-over F_p also sums), chosen from the matrix's field.  Over Q they compute
-on integer rows: a row or column of Fractions becomes a list of ints over
-one denominator, the lcm of its entries' denominators.  An entry of a
-matrix product or of a matrix-vector product is a plain int dot product
-over the product of two such denominators.  Elimination is fraction-free
-Gauss-Jordan on the integer rows, with the row's gcd divided out after each
-row operation, and each pivot row becomes Fractions once, at the end.  The
-determinant is Bareiss elimination on the integer rows, divided by the
-product of the row denominators.  Over F_p the kernels compute on plain int
+Each field has one set of kernels (products, sums, elimination and
+determinants), chosen from the matrix's field.  Over Q a matrix keeps one
+integer form (A, d): integer rows A over d, the lcm of its entries'
+denominators, so matrix = A / d.  It is built at most once per matrix,
+from the entries, and every Q kernel reads it.  Products, sums, negation,
+transposes and scalings produce their result's integer form directly (a
+product is (A B, d_A d_B) with the common gcd of d and the entries divided
+out, which keeps the form unique, so it also decides equality), and the
+result's Fraction entries are boxed only when ``entries`` is first read.
+Only a vector argument is scaled to integers per call: a matrix-vector
+product or a bilinear value is a plain int dot product over the product of
+the denominators.  Elimination is fraction-free Gauss-Jordan on integer
+rows, with the row's gcd divided out after each row operation, and each
+pivot row becomes Fractions once, at the end.  The determinant is Bareiss
+elimination on A, divided by d^n.  Inertia counts come from one kernel,
+``inertia_counts``: fraction-free symmetric elimination on A, in which a
+pivot p turns the trailing block B into |p| B - sign(p) a a^T, a congruence
+up to a positive scale.  Over F_p the kernels compute on plain int
 residues, reduce mod p once per dot product or row operation, and box
 results into Fp (the field's shared objects, ``PrimeField.residues``).
-Either way Fraction or Fp is the boundary type: every entry stored in a
+Either way Fraction or Fp is the boundary type: every entry read from a
 Matrix and every scalar returned is one, and the row operations of an
 elimination touch none.  Results built from entries that are already field
 elements skip the per-entry coercion that Matrix(field, entries) and
@@ -27,14 +35,14 @@ Subspace(field, n, vectors) apply to outside input.
 Reflection words and form preservation have one kernel per field each.
 ``reflection_product(B, vectors)`` is the matrix of a word of reflections
 r_v = I - v (B v)^T / Q(v), built from I by one rank-one update per
-reflection, O(n^2) each: over Q on integer rows over one denominator, over
-F_p on int residues.  ``preserves_form(M, S)`` decides M^T S M = S on the
-same integer rows (A^T G A = d^2 G for A = d M, G = s S) or residues,
-without building a product matrix.
+reflection, O(n^2) each: over Q on the integer form of B, with the result
+left in integer form, over F_p on int residues.  ``preserves_form(M, S)``
+decides M^T S M = S on the same integer forms (A^T G A = d^2 G for
+A = d M, G = s S) or residues, without building a product matrix.
 
 The coordinate layer goes through three helpers built on those kernels.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
-coordinates, u X v^T as the dot product of u with ``X.apply(v)``;
+coordinates, u X v^T (over Q one int dot product on the integer form of X);
 ``restrict_bilinear(X, rows)`` is the one restriction of a form, the matrix
 C X C^T on coordinate rows C; and ``combine(field, coords, rows, ncols)`` is
 the one row combination, the rows of C B for coordinate rows C and basis
@@ -69,15 +77,23 @@ DEFAULT_SUBSPACE_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# kernels: rows in and out are lists of "kernel scalars", which are Fraction
-# values over Q (turned into integer rows inside each kernel) and int
-# residues in [0, p) over F_p
+# kernels: rows in are lists of "kernel scalars", which are ints over Q (each
+# row an integer multiple of the row it stands for: elimination and spans do
+# not see row scales) and int residues in [0, p) over F_p
 
 def _kernel_rows(field, rows):
     """Rows of field elements as fresh lists of kernel scalars."""
     if isinstance(field, PrimeField):
         return [[x.value for x in row] for row in rows]
-    return [list(row) for row in rows]
+    return [_int_row(row)[0] for row in rows]
+
+
+def _matrix_rows(M):
+    """The rows of M as kernel scalars: the rows of its integer form over Q
+    (shared with M, so only read), fresh residue lists over F_p."""
+    if isinstance(M.field, PrimeField):
+        return _kernel_rows(M.field, M.entries)
+    return M._int_form()[0]
 
 
 def _field_rows(field, rows):
@@ -91,9 +107,10 @@ def _field_rows(field, rows):
 def _rref(field, rows, ncols):
     """Reduced row echelon form of a list of rows of kernel scalars.
 
-    Returns (rows, pivots) where rows is a list of lists of kernel scalars
-    with the zero rows removed and pivots the increasing list of pivot
-    columns.  The input lists may be reordered and overwritten.
+    Returns (rows, pivots) where rows is a list of lists of field elements
+    over Q and of residues over F_p, with the zero rows removed, and pivots
+    the increasing list of pivot columns.  The input list may be reordered;
+    over F_p its rows are overwritten, over Q they are only read.
     """
     if isinstance(field, PrimeField):
         return _rref_mod(rows, ncols, field.p)
@@ -112,12 +129,37 @@ def _pivot_row(work, r, c):
 # row operations of every elimination read columns c.. of the pivot row only.
 
 def _int_row(row):
-    """A row of rationals as (ints, d) with row = ints / d, d the lcm of the
-    denominators."""
+    """A row of rationals (or ints) as (ints, d) with row = ints / d, d the
+    lcm of the denominators."""
     d = lcm(*[x.denominator for x in row])
     if d == 1:
         return [x.numerator for x in row], 1
     return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _int_matrix(rows):
+    """A matrix of rationals as (ints, d) with matrix = ints / d, d the lcm of
+    all the entries' denominators."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _reduced(A, d):
+    """The integer form of the matrix A / d: A and d > 0 with their common
+    gcd divided out, so that d is the lcm of the entries' denominators."""
+    if d == 1:
+        return A, d
+    g = gcd(d, *itertools.chain.from_iterable(A))
+    if g == 1:
+        return A, d
+    return [[x // g for x in row] for row in A], d // g
+
+
+def _transposed(A, ncols):
+    """The transpose of the integer rows A, which have ncols columns each."""
+    if not A:
+        return [[] for _ in range(ncols)]
+    return [list(col) for col in zip(*A)]
 
 
 def _primitive(row):
@@ -126,9 +168,10 @@ def _primitive(row):
 
 
 def _rref_int(rows, ncols):
-    """Fraction-free Gauss-Jordan on the integer multiples of the rows, each
-    kept primitive; pivot rows become Fraction rows once, at the end."""
-    work = [_primitive(_int_row(row)[0]) for row in rows]
+    """Fraction-free Gauss-Jordan on integer rows, each kept primitive; pivot
+    rows become Fraction rows once, at the end.  The input rows are read,
+    never modified."""
+    work = [_primitive(row) for row in rows]
     nrows = len(work)
     pivots = []
     r = 0
@@ -155,22 +198,16 @@ def _rref_int(rows, ncols):
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)], pivots
 
 
-def _det_int(rows):
-    """Bareiss elimination on the integer multiples of the rows, divided by
-    the product of the row denominators."""
-    work = []
-    den = 1
-    for row in rows:
-        ints, d = _int_row(row)
-        work.append(ints)
-        den *= d
+def _det_int(work):
+    """The determinant of a square matrix of integer rows, by Bareiss
+    elimination; the rows are overwritten."""
     n = len(work)
     sign = 1
     prev = 1
     for c in range(n):
         pivot_row = _pivot_row(work, c, c)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             work[c], work[pivot_row] = work[pivot_row], work[c]
             sign = -sign
@@ -181,7 +218,49 @@ def _det_int(rows):
             t = row[c]
             row[c + 1:] = [(p * x - t * y) // prev for x, y in zip(row[c + 1:], ptail)]
         prev = p
-    return Fraction(sign * prev, den)
+    return sign * prev
+
+
+def _inertia_int(G):
+    """(positives, negatives, zeros) of the symmetric integer matrix G, by
+    fraction-free symmetric elimination.
+
+    A pivot p = G[i][i] != 0 with the rest a of its row leaves the trailing
+    block B as |p| B - sign(p) a a^T with its content divided out: a
+    congruence (the Schur complement B - a a^T / p) times a positive scale,
+    which keeps the inertia.  Taking the first nonzero diagonal entry as the
+    pivot is the symmetric swap of it to the front.  When the whole diagonal
+    is zero, Lagrange's step e_i <- e_i + e_j on the first nonzero entry
+    G[i][j] makes the diagonal entry 2 G[i][j].  What remains once every
+    entry is zero counts as zeros.
+    """
+    A = [list(row) for row in G]
+    pos = neg = 0
+    while A:
+        k = len(A)
+        i = next((i for i in range(k) if A[i][i]), None)
+        if i is None:
+            i = next((i for i in range(k) if any(A[i])), None)
+            if i is None:
+                break
+            j = next(j for j, x in enumerate(A[i]) if x)
+            A[i] = [x + y for x, y in zip(A[i], A[j])]
+            for row in A:
+                row[i] += row[j]
+        p = A[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        a = A[i][:i] + A[i][i + 1:]
+        rest = A[:i] + A[i + 1:]
+        s, q = (1, p) if p > 0 else (-1, -p)
+        A = [[q * x - s * t * y for x, y in zip(row[:i] + row[i + 1:], a)]
+             for row, t in zip(rest, a)]
+        g = gcd(*itertools.chain.from_iterable(A))
+        if g > 1:
+            A = [[x // g for x in row] for row in A]
+    return pos, neg, len(G) - pos - neg
 
 
 def _rref_mod(work, ncols, p):
@@ -241,9 +320,16 @@ def _check_same_field(a, b):
 
 
 class Matrix:
-    """Immutable matrix over a fixed field."""
+    """Immutable matrix over a fixed field.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    Over Q a matrix keeps one integer form (A, d): integer rows A over the
+    least common denominator d of its entries, with matrix = A / d.  It is
+    built at most once, from the entries, or given directly by the results
+    of the Q kernels, whose Fraction entries are then boxed on first read of
+    ``entries``.  Both are kept once built; matrices are immutable.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_entries", "_int")
 
     def __init__(self, field, entries, cols=None):
         entries = tuple(tuple(map(field, row)) for row in entries)
@@ -258,7 +344,8 @@ class Matrix:
         self.field = field
         self.rows = len(entries)
         self.cols = ncols
-        self.entries = entries
+        self._entries = entries
+        self._int = None
 
     @classmethod
     def _of(cls, field, entries, cols):
@@ -268,8 +355,41 @@ class Matrix:
         M.field = field
         M.rows = len(entries)
         M.cols = cols
-        M.entries = entries
+        M._entries = entries
+        M._int = None
         return M
+
+    @classmethod
+    def _of_int(cls, field, A, d, cols):
+        """Internal result over Q: the matrix A / d, given by its integer
+        form (lists of ints A, d > 0 the least common denominator)."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = len(A)
+        M.cols = cols
+        M._entries = None
+        M._int = (A, d)
+        return M
+
+    @property
+    def entries(self):
+        """The rows as a tuple of tuples of field elements."""
+        entries = self._entries
+        if entries is None:
+            A, d = self._int
+            if d == 1:
+                entries = tuple([tuple(map(Fraction, row)) for row in A])
+            else:
+                entries = tuple([tuple([Fraction(x, d) for x in row]) for row in A])
+            self._entries = entries
+        return entries
+
+    def _int_form(self):
+        """The integer form (A, d) of a matrix over Q, built at most once."""
+        form = self._int
+        if form is None:
+            form = self._int = _int_matrix(self._entries)
+        return form
 
     @classmethod
     def identity(cls, field, n):
@@ -307,9 +427,13 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self):
+        field = self.field
+        if not isinstance(field, PrimeField):
+            A, d = self._int_form()
+            return Matrix._of_int(field, _transposed(A, self.cols), d, self.rows)
         if self.rows == 0:
-            return Matrix._of(self.field, ((),) * self.cols, 0)
-        return Matrix._of(self.field, tuple(zip(*self.entries)), self.rows)
+            return Matrix._of(field, ((),) * self.cols, 0)
+        return Matrix._of(field, tuple(zip(*self.entries)), self.rows)
 
     def __add__(self, other):
         return self._entrywise(other, add)
@@ -322,23 +446,35 @@ class Matrix:
             raise DimensionMismatch("%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         field = self.field
         _check_same_field(field, other.field)
-        pairs = zip(self.entries, other.entries)
         if isinstance(field, PrimeField):
             p, box = field.p, field.residues
             entries = tuple([tuple([box[op(a.value, b.value) % p] for a, b in zip(r1, r2)])
-                             for r1, r2 in pairs])
-        else:
-            entries = tuple([tuple(map(op, r1, r2)) for r1, r2 in pairs])
-        return Matrix._of(field, entries, self.cols)
+                             for r1, r2 in zip(self.entries, other.entries)])
+            return Matrix._of(field, entries, self.cols)
+        (A1, d1), (A2, d2) = self._int_form(), other._int_form()
+        d = lcm(d1, d2)
+        s1, s2 = d // d1, d // d2
+        rows = [[op(s1 * x, s2 * y) for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
+        return Matrix._of_int(field, *_reduced(rows, d), self.cols)
 
     def __neg__(self):
-        return Matrix._of(self.field, tuple(tuple(-a for a in row) for row in self.entries),
-                          self.cols)
+        field = self.field
+        if isinstance(field, PrimeField):
+            return Matrix._of(field, tuple(tuple(-a for a in row) for row in self.entries),
+                              self.cols)
+        A, d = self._int_form()
+        return Matrix._of_int(field, [[-x for x in row] for row in A], d, self.cols)
 
     def scale(self, c):
-        c = self.field(c)
-        return Matrix._of(self.field, tuple(tuple(c * a for a in row) for row in self.entries),
-                          self.cols)
+        field = self.field
+        c = field(c)
+        if isinstance(field, PrimeField):
+            return Matrix._of(field, tuple(tuple(c * a for a in row) for row in self.entries),
+                              self.cols)
+        A, d = self._int_form()
+        num = c.numerator
+        return Matrix._of_int(field, *_reduced([[num * x for x in row] for row in A],
+                                               d * c.denominator), self.cols)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -354,11 +490,11 @@ class Matrix:
             cols = [[x.value for x in col] for col in zip(*other.entries)]
             entries = tuple([tuple([box[sum(map(mul, r, c)) % p] for c in cols])
                              for r in [[x.value for x in row] for row in self.entries]])
-        else:
-            cols = [_int_row(c) for c in zip(*other.entries)]
-            entries = tuple([tuple([Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols])
-                             for r, dr in map(_int_row, self.entries)])
-        return Matrix._of(field, entries, other.cols)
+            return Matrix._of(field, entries, other.cols)
+        (A, da), (B, db) = self._int_form(), other._int_form()
+        cols = list(zip(*B))
+        rows = [[sum(map(mul, r, c)) for c in cols] for r in A]
+        return Matrix._of_int(field, *_reduced(rows, da * db), other.cols)
 
     def apply(self, v):
         """Matrix times column vector, as a tuple."""
@@ -369,24 +505,29 @@ class Matrix:
         if isinstance(field, PrimeField) or not v:
             return tuple(_dot(row, v) for row in self.entries)
         iv, dv = _int_row(v)
-        return tuple([Fraction(sum(map(mul, r, iv)), dr * dv)
-                      for r, dr in map(_int_row, self.entries)])
+        A, d = self._int_form()
+        d *= dv
+        return tuple([Fraction(sum(map(mul, r, iv)), d) for r in A])
 
     def is_zero(self):
-        return all(not x for row in self.entries for x in row)
+        if isinstance(self.field, PrimeField):
+            return all(not x for row in self.entries for x in row)
+        return not any(map(any, self._int_form()[0]))
 
     def is_symmetric(self):
         if self.rows != self.cols:
             return False
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        if isinstance(self.field, PrimeField):
+            return all(self.entries[i][j] == self.entries[j][i]
+                       for i in range(self.rows) for j in range(i + 1, self.cols))
+        return _is_symmetric(self._int_form()[0])
 
     def rref(self):
-        rows, pivots = _rref(self.field, _kernel_rows(self.field, self.entries), self.cols)
+        rows, pivots = _rref(self.field, _matrix_rows(self), self.cols)
         return Matrix._of(self.field, _field_rows(self.field, rows), self.cols), tuple(pivots)
 
     def rank(self):
-        return len(_rref(self.field, _kernel_rows(self.field, self.entries), self.cols)[1])
+        return len(_rref(self.field, _matrix_rows(self), self.cols)[1])
 
     def det(self):
         if self.rows != self.cols:
@@ -394,15 +535,20 @@ class Matrix:
         field = self.field
         if isinstance(field, PrimeField):
             return field.residues[_det_mod(_kernel_rows(field, self.entries), field.p)]
-        return _det_int(self.entries)
+        A, d = self._int_form()
+        return Fraction(_det_int([row[:] for row in A]), d ** self.rows)
 
     def inverse(self):
         if self.rows != self.cols:
             raise NonSquare("inverse of a %dx%d matrix" % (self.rows, self.cols))
         n = self.rows
         field = self.field
-        aug = _kernel_rows(field, [row + e for row, e in
-                                   zip(self.entries, Matrix.identity(field, n).entries)])
+        if isinstance(field, PrimeField):
+            aug = _kernel_rows(field, [row + e for row, e in
+                                       zip(self.entries, Matrix.identity(field, n).entries)])
+        else:
+            A, d = self._int_form()      # [A | d I] is d [M | I]
+            aug = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(A)]
         reduced, pivots = _rref(field, aug, 2 * n)
         if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
@@ -411,7 +557,12 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        if self.field != other.field:
+            return False
+        if isinstance(self.field, PrimeField):
+            return self.entries == other.entries
+        # the integer form is unique, so it decides equality
+        return self._int_form() == other._int_form()
 
     def __hash__(self):
         return hash((self.field, self.entries))
@@ -443,10 +594,33 @@ def dot(u, v):
 
 
 def bilinear_value(X, u, v):
-    """u X v^T for coordinate row vectors u and v (field elements or ints)."""
+    """u X v^T for coordinate row vectors u and v (field elements or ints).
+
+    Over Q it is one int dot product on the integer form of X and the two
+    vectors scaled to integer rows, over the product of the denominators.
+    """
+    field = X.field
     if not X.rows:
-        return X.field.zero
-    return dot(tuple(map(X.field, u)), X.apply(v))
+        return field.zero
+    if isinstance(field, PrimeField):
+        return dot(tuple(map(field, u)), X.apply(v))
+    same = u is v
+    u = tuple(map(field, u))
+    v = u if same else tuple(map(field, v))
+    if len(v) != X.cols:
+        raise DimensionMismatch("vector of length %d against %d columns" % (len(v), X.cols))
+    if len(u) != X.rows:
+        raise DimensionMismatch("dot of lengths %d and %d" % (len(u), X.rows))
+    A, d = X._int_form()
+    iv, dv = _int_row(v)
+    iu, du = (iv, dv) if same else _int_row(u)
+    return Fraction(sum(map(mul, iu, [sum(map(mul, r, iv)) for r in A])), d * du * dv)
+
+
+def inertia_counts(S):
+    """(positives, negatives, zeros) of the symmetric matrix S over Q, from
+    a fraction-free elimination of its integer form."""
+    return _inertia_int(S._int_form()[0])
 
 
 def restrict_bilinear(X, rows):
@@ -464,13 +638,6 @@ def combine(field, coords, rows, ncols):
 
 # ---------------------------------------------------------------------------
 # reflection words and form preservation: one kernel per field each
-
-def _int_matrix(rows):
-    """A matrix of rationals as (ints, d) with matrix = ints / d, d the lcm of
-    all the entries' denominators."""
-    d = lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
 
 def reflection_product(B, vectors):
     """The matrix of r_{v_1} ... r_{v_m}, where r_v = I - v (B v)^T / Q(v)
@@ -493,8 +660,8 @@ def reflection_product(B, vectors):
         rows = _reflection_product_mod(field.p, _kernel_rows(field, B.entries),
                                        _kernel_rows(field, vectors))
         return Matrix._of(field, _field_rows(field, rows), n)
-    A, D = _reflection_product_int(_int_matrix(B.entries)[0], vectors)
-    return Matrix._of(field, tuple([tuple([Fraction(x, D) for x in row]) for row in A]), n)
+    A, D = _reflection_product_int(B._int_form()[0], vectors)
+    return Matrix._of_int(field, A, D, n)
 
 
 def _reflection_product_int(G, vectors):
@@ -550,7 +717,9 @@ def preserves_form(M, S):
     Over Q, with A = d M and G = s S integer matrices, the test is
     A^T G A = d^2 G; over F_p it is the same products on int residues.  The
     first unequal entry ends the test.  When S is symmetric both sides are,
-    so the entries on and above the diagonal decide it.
+    so the entries on and above the diagonal decide it; the kernels take
+    that as an argument, so a caller testing many M against one S decides
+    it once.
     """
     _check_same_field(M.field, S.field)
     n = S.rows
@@ -558,22 +727,23 @@ def preserves_form(M, S):
         raise DimensionMismatch("%dx%d matrix against a %dx%d form"
                                 % (M.rows, M.cols, S.rows, S.cols))
     field = M.field
+    G = _matrix_rows(S)
     if isinstance(field, PrimeField):
-        return _preserves_form_mod(field.p, _kernel_rows(field, M.entries),
-                                   _kernel_rows(field, S.entries))
-    A, d = _int_matrix(M.entries)
-    return _preserves_form_int(A, d, _int_matrix(S.entries)[0])
+        return _preserves_form_mod(field.p, _kernel_rows(field, zip(*M.entries)), G,
+                                   _is_symmetric(G))
+    A, d = M._int_form()
+    return _preserves_form_int(list(zip(*A)), d, G, _is_symmetric(G))
 
 
 def _is_symmetric(rows):
     return all(list(col) == row for col, row in zip(zip(*rows), rows))
 
 
-def _preserves_form_int(A, d, G):
+# the two kernels take the columns of A (of M over F_p) and the rows of G
+
+def _preserves_form_int(cols, d, G, symmetric):
     d2 = d * d
     n = len(G)
-    symmetric = _is_symmetric(G)
-    cols = list(zip(*A))
     for j, col in enumerate(cols):
         gcol = [sum(map(mul, g, col)) for g in G]    # column j of G A
         for i in range(j + 1 if symmetric else n):
@@ -582,10 +752,8 @@ def _preserves_form_int(A, d, G):
     return True
 
 
-def _preserves_form_mod(p, A, G):
+def _preserves_form_mod(p, cols, G, symmetric):
     n = len(G)
-    symmetric = _is_symmetric(G)
-    cols = list(zip(*A))
     for j, col in enumerate(cols):
         gcol = [sum(map(mul, g, col)) for g in G]    # column j of G A
         for i in range(j + 1 if symmetric else n):
@@ -625,7 +793,13 @@ def solve_all(A, vectors):
     if not vectors:
         return []
     n = A.cols
-    aug = _kernel_rows(field, [row + rhs for row, rhs in zip(A.entries, zip(*vectors))])
+    if isinstance(field, PrimeField):
+        aug = _kernel_rows(field, [row + rhs for row, rhs in zip(A.entries, zip(*vectors))])
+    else:
+        # row i of [A | b_1 ... b_k] times d e: rows scale freely
+        M, d = A._int_form()
+        R, e = _int_matrix(list(zip(*vectors)))
+        aug = [[e * x for x in row] + [d * y for y in rhs] for row, rhs in zip(M, R)]
     reduced, pivots = _rref(field, aug, n + len(vectors))
     if pivots and pivots[-1] >= n:
         return None
@@ -641,7 +815,7 @@ def solve_all(A, vectors):
 def kernel(A):
     """The null space of A as a Subspace of the column-index space."""
     field = A.field
-    reduced, pivots = _rref(field, _kernel_rows(field, A.entries), A.cols)
+    reduced, pivots = _rref(field, _matrix_rows(A), A.cols)
     pivot_set = set(pivots)
     free = [c for c in range(A.cols) if c not in pivot_set]
     basis = []
@@ -656,7 +830,7 @@ def kernel(A):
 
 def image(A):
     """The column space of A as a Subspace."""
-    return Subspace._span(A.field, A.rows, _kernel_rows(A.field, zip(*A.entries)))
+    return Subspace._span(A.field, A.rows, _matrix_rows(A.transpose()))
 
 
 def rank(A):
@@ -699,8 +873,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls._span(field, ambient_dim,
-                         _kernel_rows(field, Matrix.identity(field, ambient_dim).entries))
+        return cls._span(field, ambient_dim, _matrix_rows(Matrix.identity(field, ambient_dim)))
 
     @property
     def dim(self):

@@ -27,7 +27,7 @@ from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (Matrix, TooLarge, _kernel_rows, _preserves_form_mod,
+from .linalg import (Matrix, TooLarge, _is_symmetric, _kernel_rows, _preserves_form_mod,
                      _reflection_product_mod, _rref_mod, projective_points)
 from .order import admissible_subspaces, less_equal
 from .quadspace import Isometry, NotIsometry
@@ -457,6 +457,7 @@ def load_census(space, path):
     p, n = space.field.p, space.dim
     size = p ** n
     G = _kernel_rows(space.field, space.gram.entries)
+    symmetric = _is_symmetric(G)    # decided once per load, not per element
     columns = {}                    # code -> its column as a residue vector
     codes = []
     for g in data["codes"]:
@@ -470,7 +471,7 @@ def load_census(space, path):
             if v is None:
                 v = columns[code] = _digits(code, p, n)
             cols.append(v)
-        if not _preserves_form_mod(p, list(zip(*cols)), G):
+        if not _preserves_form_mod(p, cols, G, symmetric):
             raise NotIsometry("matrix does not preserve the quadratic form")
         codes.append(tuple(g))
     return GroupCensus(space, tuple(codes), dict(zip(codes, data["lengths"])))

@@ -12,6 +12,11 @@ reflection r_v = I - v (B v)^T / Q(v) is built as one rank-one update of I
 by ``linalg.reflection_product``, the kernel that also multiplies out whole
 reflection words.  Orthogonal complements, total-singularity tests, and
 (over the rationals) inertia counts and definiteness also live here.
+
+Inertia is counted on integer rows: the Gram matrix of Q on a subspace is a
+product of integer forms, and ``linalg.inertia_counts`` eliminates it
+fraction-free.  The inertia of the whole space is kept once computed, in
+the ``_inertia`` slot, as ``Isometry`` keeps its Wall form.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import enum
 from typing import NamedTuple
 
 from .field import UnorderedField
-from .linalg import (Matrix, Subspace, bilinear_value, kernel, preserves_form,
+from .linalg import (Matrix, Subspace, bilinear_value, inertia_counts, kernel, preserves_form,
                      reflection_product, restrict_bilinear)
 
 
@@ -58,7 +63,7 @@ class Inertia(NamedTuple):
 class QuadraticSpace:
     """The ambient pair (V, Q), with Q given by a symmetric matrix."""
 
-    __slots__ = ("field", "dim", "gram", "polar_matrix")
+    __slots__ = ("field", "dim", "gram", "polar_matrix", "_inertia")
 
     def __init__(self, field, form):
         M = form if isinstance(form, Matrix) else Matrix(field, form)
@@ -72,6 +77,7 @@ class QuadraticSpace:
         self.dim = M.rows
         self.gram = S
         self.polar_matrix = S.scale(2)
+        self._inertia = None
 
     def vector(self, v):
         v = tuple(self.field(x) for x in v)
@@ -109,16 +115,15 @@ class QuadraticSpace:
         return self.gram_on(W).is_zero()
 
     def inertia(self, W=None):
-        """Counts (positives, negatives, zeros) of a diagonalization of Q|_W."""
+        """Counts (positives, negatives, zeros) of a diagonalization of Q|_W,
+        W the whole space by default; that one is computed once and kept."""
         if not self.field.is_ordered:
             raise UnorderedField("inertia needs an ordered field")
-        rows = W.basis if isinstance(W, Subspace) else (
-            Matrix.identity(self.field, self.dim).entries if W is None else W)
-        G = self.gram_on(rows)
-        diag, _ = lagrange_diagonalize(G)
-        pos = sum(1 for d in diag if d > 0)
-        neg = sum(1 for d in diag if d < 0)
-        return Inertia(pos, neg, len(diag) - pos - neg)
+        if W is None:
+            if self._inertia is None:
+                self._inertia = Inertia(*inertia_counts(self.gram))
+            return self._inertia
+        return Inertia(*inertia_counts(self.gram_on(W)))
 
     def signature(self, W=None):
         pos, neg, _ = self.inertia(W)
@@ -170,7 +175,8 @@ def lagrange_diagonalize(G):
 
     Returns (diag, C) with C invertible rows c_i such that c_i G c_j^T is
     diag[i] when i == j and zero otherwise.  Works over any field here
-    (char != 2); used for inertia counts over the rationals.
+    (char != 2); used where the diagonalizing vectors themselves are
+    needed (inertia counts come from ``linalg.inertia_counts``).
     """
     field = G.field
     k = G.rows

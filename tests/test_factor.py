@@ -403,6 +403,14 @@ expect_certificate_error("hyperbolic_positive_factorization peel",
                          lambda: hyperbolic.hyperbolic_positive_factorization(boost))
 hyperbolic.moved_space = real_moved_space
 
+# classify: every proper subspace reads as positive definite, so the moved
+# space says elliptic and the fixed space says hyperbolic
+real_inertia = quadspace.QuadraticSpace.inertia
+quadspace.QuadraticSpace.inertia = (
+    lambda self, W=None: real_inertia(self) if W is None else quadspace.Inertia(W.dim, 0, 0))
+expect_certificate_error("classify", lambda: hyperbolic.classify(boost))
+quadspace.QuadraticSpace.inertia = real_inertia
+
 # hyperbolic_positive_factorization: the moved space misses x_{n+1} = 0
 hyperbolic.kernel = lambda A: linalg.Subspace(QQ, A.cols)
 expect_certificate_error("hyperbolic_positive_factorization loop",

@@ -83,6 +83,31 @@ class TestClassification:
                 # classify cross-checks the fixed-space criterion internally
                 assert classify(f) in HyperbolicClass
 
+    @pytest.fixture
+    def disagreeing_inertia(self, monkeypatch):
+        """Every proper subspace reads as positive definite: the moved space
+        says elliptic, the fixed space says hyperbolic."""
+        from wallfact.quadspace import Inertia, QuadraticSpace
+        real = QuadraticSpace.inertia
+        monkeypatch.setattr(QuadraticSpace, "inertia", lambda self, W=None: (
+            real(self) if W is None else Inertia(W.dim, 0, 0)))
+
+    def test_disagreement_raises_certificate_error(self, disagreeing_inertia):
+        with pytest.raises(CertificateError, match="classifications disagree"):
+            classify(hyperbolic_example(lorentz_space(3)))
+
+    def test_disagreement_exits_3(self, disagreeing_inertia, tmp_path, capsys):
+        import json
+        from wallfact.cli import main
+        form = tmp_path / "space.json"
+        form.write_text(json.dumps({"field": "rational",
+                                    "form": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}))
+        boost = tmp_path / "boost.json"
+        boost.write_text(json.dumps({"matrix": [["5/3", "0", "4/3"], ["0", "1", "0"],
+                                                ["4/3", "0", "5/3"]]}))
+        assert main(["classify", "--form", str(form), "--isometry", str(boost)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "internal"
+
 
 class TestHyperbolicFactorization:
     def test_single_reflection(self):

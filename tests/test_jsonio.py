@@ -36,6 +36,36 @@ class TestScalars:
             decode_scalar("x", QQ)
 
 
+class TestRationalMatrices:
+    """Over Q a matrix decodes straight into its integer form: "p/q" and "n"
+    by int() on their halves, anything else as Fraction reads it."""
+
+    SPELLINGS = ["3/4", "-3/4", "+3/4", "6/8", "-0/5", "007", "12", 12, -5, "0",
+                 "1.5", "-2.25", "1e3", " 1/2 ", "1_000", "3/12", "10/1"]
+
+    def test_entries_equal_the_scalar_decoding(self):
+        M = decode_matrix([self.SPELLINGS], QQ)
+        assert M.entries == (tuple(decode_scalar(x, QQ) for x in self.SPELLINGS),)
+        assert M._int_form() == (
+            [[Fraction(x) * 4 if isinstance(x, int) else Fraction(x.strip()) * 4
+              for x in self.SPELLINGS]], 4)
+
+    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "1 / 2", "x", "", "/2", "1/", "2//3",
+                                     True, None, 1.5, [1]])
+    def test_malformed_entries_rejected(self, bad):
+        with pytest.raises(InputError):
+            decode_matrix([[1, bad]], QQ)
+
+    def test_malformed_entry_exits_2(self, tmp_path, capsys):
+        from wallfact.cli import main
+        form = tmp_path / "space.json"
+        form.write_text(json.dumps({"field": "rational", "form": [["1", "0"], ["0", "1/-1"]]}))
+        iso = tmp_path / "id.json"
+        iso.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+        assert main(["length", "--form", str(form), "--isometry", str(iso)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed_input"
+
+
 class TestFieldSpecs:
     def test_round_trip(self):
         assert decode_field(encode_field(QQ)) == QQ

@@ -160,6 +160,17 @@ class TestCensusCache:
         with pytest.raises(NotIsometry):
             load_census(o4_f3.space, str(path))
 
+    def test_symmetry_is_decided_once_per_load(self, o4_f3, tmp_path, monkeypatch):
+        from wallfact import oracle
+        calls = []
+        real = oracle._is_symmetric
+        monkeypatch.setattr(oracle, "_is_symmetric", lambda rows: calls.append(1) or real(rows))
+        path = str(tmp_path / "census.json")
+        save_census(o4_f3, path)
+        loaded = load_census(o4_f3.space, path)
+        assert loaded.codes == o4_f3.codes and len(loaded.codes) > 1
+        assert calls == [1]
+
     def test_cli_exits_1_on_tampered_file(self, o4_f3, tmp_path, capsys):
         path = self.tampered(o4_f3, tmp_path, self.non_isometry_column)
         form = tmp_path / "form.json"

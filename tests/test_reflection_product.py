@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wallfact import (Factorization, Isometry, Matrix, NotIsometry, PrimeField, QQ,
-                      QuadraticSpace)
+                      QuadraticSpace, SingularVector)
 from wallfact.linalg import preserves_form, reflection_product
 
 PRIMES = (3, 5, 7)
@@ -154,6 +154,21 @@ class TestReflectionProduct:
         F5 = PrimeField(5)
         with pytest.raises(ZeroDivisionError):
             reflection_product(QuadraticSpace(F5, [[1, 0], [0, 1]]).polar_matrix, [(1, 2)])
+
+    @pytest.mark.parametrize("field, singular", [(QQ, (3, 3)), (PrimeField(5), (1, 2))])
+    def test_factorization_rejects_a_singular_vector(self, field, singular):
+        """Without a target Q(v) is read off the Gram matrix's integer form;
+        with one, the product computes it and SingularVector replaces its
+        ZeroDivisionError."""
+        space = QuadraticSpace(field, [[1, 0], [0, -1]] if field == QQ else [[1, 0], [0, 1]])
+        r = space.reflection((1, 0))
+        with pytest.raises(SingularVector):
+            Factorization(space, [(1, 0), singular])
+        with pytest.raises(SingularVector):
+            Factorization(space, [(1, 0), singular], target=r)
+        with pytest.raises(SingularVector):
+            Factorization(space, [singular], target=space.identity_isometry())
+        assert Factorization(space, [(1, 0)], target=r).vectors == ((field(1), field(0)),)
 
 
 def true_isometries(cases, seed):
