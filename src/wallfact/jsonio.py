@@ -10,12 +10,10 @@ vectors are nested arrays, row-major.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from math import lcm
 
 from .field import Fp, PrimeField, QQ
-from .linalg import Matrix, Subspace, _reduced
+from .linalg import Matrix, Subspace
 from .quadspace import Isometry, QuadraticSpace
 from .factor import Factorization
 
@@ -43,26 +41,6 @@ def decode_scalar(obj, field):
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError("bad scalar %r: %s" % (obj, exc)) from None
     raise InputError("bad scalar %r" % (obj,))
-
-
-# "n" or "p/q" with ASCII digits: the halves are read by int()
-_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
-
-
-def _decode_rational(obj):
-    """A JSON rational as (numerator, denominator) ints, the denominator
-    positive.  Plain "p/q" and "n" strings and ints are read directly;
-    anything else goes through decode_scalar, which raises InputError for
-    malformed input and reads what Fraction reads (decimals, say)."""
-    if type(obj) is int:
-        return obj, 1
-    if isinstance(obj, str):
-        m = _PLAIN_RATIONAL.fullmatch(obj)
-        den = int(m[2] or 1) if m else 0
-        if den:
-            return int(m[1]), den
-    x = decode_scalar(obj, QQ)
-    return x.numerator, x.denominator
 
 
 def encode_field(field):
@@ -98,22 +76,13 @@ def encode_matrix(M):
 
 
 def decode_matrix(obj, field):
-    """A matrix; over Q it is built from its integer form, with the
-    entries boxed on first read."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be an array of arrays")
-    if isinstance(field, PrimeField):
-        rows = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
-    else:
-        rows = [[_decode_rational(x) for x in row] for row in obj]
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
+    entries = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
+    ncols = len(entries[0]) if entries else 0
+    if any(len(row) != ncols for row in entries):
         raise InputError("bad matrix: ragged rows")
-    if isinstance(field, PrimeField):
-        return Matrix._of(field, rows, ncols)
-    d = lcm(*[q for row in rows for _, q in row])
-    A = [[p * (d // q) for p, q in row] for row in rows]
-    return Matrix._of_int(field, *_reduced(A, d), ncols)
+    return Matrix._of(field, entries, ncols)
 
 
 def encode_vector(v):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,8 @@ class TestScalars:
 
 
 class TestRationalMatrices:
-    """Over Q a matrix decodes straight into its integer form: "p/q" and "n"
-    by int() on their halves, anything else as Fraction reads it."""
+    """Over Q a matrix's entries decode as decode_scalar reads them, and its
+    integer form is built from those entries."""
 
     SPELLINGS = ["3/4", "-3/4", "+3/4", "6/8", "-0/5", "007", "12", 12, -5, "0",
                  "1.5", "-2.25", "1e3", " 1/2 ", "1_000", "3/12", "10/1"]
@@ -60,6 +61,32 @@ class TestRationalMatrices:
         from wallfact.cli import main
         form = tmp_path / "space.json"
         form.write_text(json.dumps({"field": "rational", "form": [["1", "0"], ["0", "1/-1"]]}))
+        iso = tmp_path / "id.json"
+        iso.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+        assert main(["length", "--form", str(form), "--isometry", str(iso)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed_input"
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Python's limit on the digits of an integer read from a string."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python reads integers of any length")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("half", ["numerator", "denominator"])
+    def test_overlong_entries_are_malformed(self, digit_limit, half, tmp_path, capsys):
+        from wallfact.cli import main
+        digits = "1" * (digit_limit + 1)
+        bad = digits if half == "numerator" else "1/" + digits
+        with pytest.raises(InputError):
+            decode_matrix([[1, bad]], QQ)
+        with pytest.raises(InputError):
+            decode_vector([1, bad], QQ)
+        form = tmp_path / "space.json"
+        form.write_text(json.dumps({"field": "rational", "form": [["1", "0"], ["0", bad]]}))
         iso = tmp_path / "id.json"
         iso.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
         assert main(["length", "--form", str(form), "--isometry", str(iso)]) == 2
