@@ -54,9 +54,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 TRIAL_DIVISION_BOUND = 10 ** 3
 
 # Pollard rho iterations one split of a cofactor may spend; past it
-# factorize raises FactoringBudgetExceeded.  At about 5 us per iteration on
-# a 294-bit cofactor this is about 10 s, and it is over 30 times the longest
-# rho run of the benchmark inputs (60,634 iterations).
+# factorize and squarefree_part raise FactoringBudgetExceeded.  At about 5 us
+# per iteration on a 294-bit cofactor this is about 10 s, and it is over
+# 1,500 times the longest rho run of the benchmark inputs (1,358 iterations,
+# qq-minimal seeds 1-9 and 77; squarefree_part splits no square cofactor).
 RHO_ITERATION_BUDGET = 2 ** 21
 
 
@@ -109,16 +110,11 @@ def _pollard_rho(n):
             return d
 
 
-def factorize(n):
-    """Prime factorization of n >= 1 as a dict {prime: exponent}.
-
-    Trial division up to TRIAL_DIVISION_BOUND, then Pollard rho for any
-    remaining cofactor, at most RHO_ITERATION_BUDGET iterations per split.
-    Intended for desk-scale inputs; raises FactoringBudgetExceeded past that
-    budget.
-    """
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
+def _trial_division(n):
+    """(factors, m) for an integer n >= 1: the primes p <= TRIAL_DIVISION_BOUND
+    dividing n as {p: exponent}, and the cofactor m that is left, so n = m
+    times the product of p^e.  m is 1, a prime, or a product of primes above
+    the bound."""
     factors = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -130,8 +126,20 @@ def factorize(n):
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 2
-    if n == 1:
-        return factors
+    return factors, n
+
+
+def factorize(n):
+    """Prime factorization of n >= 1 as a dict {prime: exponent}.
+
+    Trial division up to TRIAL_DIVISION_BOUND, then Pollard rho for any
+    remaining cofactor, at most RHO_ITERATION_BUDGET iterations per split.
+    Intended for desk-scale inputs; raises FactoringBudgetExceeded past that
+    budget.
+    """
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    factors, n = _trial_division(n)
     stack = [n]
     while stack:
         m = stack.pop()
@@ -150,14 +158,32 @@ def factorize(n):
 
 
 def squarefree_part(n):
-    """Square-free part of a nonzero integer, carrying the sign."""
+    """Square-free part of a nonzero integer, carrying the sign.
+
+    Only the primes of odd exponent are wanted, and square classes multiply
+    modulo squares, so after trial division the cofactors are never fully
+    factored: a perfect square is dropped without being split, a prime
+    toggles in or out of the result, and anything else is split by Pollard
+    rho (RHO_ITERATION_BUDGET iterations per split, as in factorize).
+    """
     if n == 0:
         raise ZeroElement("0 has no square-free part")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(abs(n)).items():
+    factors, m = _trial_division(abs(n))
+    out = -1 if n < 0 else 1
+    for p, e in factors.items():
         if e % 2:
             out *= p
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        root = math.isqrt(m)
+        if root * root == m:
+            continue
+        if is_prime(m):
+            out = out // m if out % m == 0 else out * m
+            continue
+        d = _pollard_rho(m)
+        stack.extend((d, m // d))
     return out
 
 
@@ -275,6 +301,11 @@ class SquareClass:
             return NotImplemented
         if other.field != self.field:
             raise ValueError("square classes over different fields")
+        if self.field.kind == "rational":
+            # both reps are square-free, so their product has the square of
+            # their gcd as its only square factor
+            g = math.gcd(self.rep, other.rep)
+            return SquareClass(self.field, self.rep * other.rep // (g * g))
         return self.field.square_class(self.field(self.rep) * self.field(other.rep))
 
     def is_one(self):

@@ -6,11 +6,17 @@ elements are integers.  Field specs: {"field": "rational"} or
 where "field" holds either the spec object or its bare kind string, and the
 form matrix is symmetrized at load (which preserves Q).  Matrices and
 vectors are nested arrays, row-major.
+
+Every rational scalar is read by one parser, ``_decode_rational``, into its
+numerator and denominator.  Scalars and vectors box those as Fractions; a
+matrix over Q is built straight in its integer form (linalg's (A, d), matrix
+= A / d), so its Fraction entries are made only if they are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .field import Fp, PrimeField, QQ
 from .linalg import Matrix, Subspace
@@ -32,7 +38,40 @@ def encode_scalar(x):
     raise InputError("cannot encode scalar %r" % (x,))
 
 
+def _decode_rational(obj):
+    """A rational scalar as (n, d) in lowest terms with d > 0.
+
+    An int is taken as it is.  Text of the form "n" or "p/q" in ASCII digits,
+    with an optional leading minus, is split at the slash and read by two
+    int() calls; every other spelling that Fraction accepts ("+3/4", "1.5",
+    "1e3", " 1/2 ", "1_000") is read by Fraction, and so is a zero
+    denominator, for Fraction's error.  Errors, among them int()'s refusal of
+    an over-long half, are InputError with the message Fraction would give.
+    """
+    try:
+        if isinstance(obj, bool):
+            raise TypeError
+        if isinstance(obj, int):
+            return obj, 1
+        if isinstance(obj, str):
+            num, slash, den = obj.partition("/")
+            if (obj.isascii() and (num[1:] if num[:1] == "-" else num).isdigit()
+                    and (den.isdigit() or not slash)):
+                n, d = int(num), (int(den) if slash else 1)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+            x = Fraction(obj)
+            return x.numerator, x.denominator
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError("bad scalar %r: %s" % (obj, exc)) from None
+    raise InputError("bad scalar %r" % (obj,))
+
+
 def decode_scalar(obj, field):
+    if field.kind == "rational":
+        n, d = _decode_rational(obj)
+        return Fraction(n, d)
     try:
         if isinstance(obj, bool):
             raise TypeError
@@ -76,13 +115,23 @@ def encode_matrix(M):
 
 
 def decode_matrix(obj, field):
+    """A matrix over field; over Q it is built in its integer form (A, d), d
+    the lcm of the entries' reduced denominators, and its Fraction entries
+    are boxed only when first read."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be an array of arrays")
-    entries = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
-    ncols = len(entries[0]) if entries else 0
-    if any(len(row) != ncols for row in entries):
+    rational = field.kind == "rational"
+    if rational:
+        rows = [[_decode_rational(x) for x in row] for row in obj]
+    else:
+        rows = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
         raise InputError("bad matrix: ragged rows")
-    return Matrix._of(field, entries, ncols)
+    if not rational:
+        return Matrix._of(field, rows, ncols)
+    d = lcm(*[q for row in rows for _, q in row])
+    return Matrix._of_int(field, [[n * (d // q) for n, q in row] for row in rows], d, ncols)
 
 
 def encode_vector(v):

@@ -9,22 +9,23 @@ desk-scale and exactness beats asymptotics here.
 Each field has one set of kernels (products, sums, elimination and
 determinants), chosen from the matrix's field.  Over Q a matrix keeps one
 integer form (A, d): integer rows A over d, the lcm of its entries'
-denominators, so matrix = A / d.  It is built at most once per matrix,
-from the entries, and every Q kernel reads it.  Products, sums, negation,
-transposes and scalings produce their result's integer form directly (a
-product is (A B, d_A d_B) with the common gcd of d and the entries divided
-out, which keeps the form unique, so it also decides equality), and the
-result's Fraction entries are boxed only when ``entries`` is first read.
-Only a vector argument is scaled to integers per call: a matrix-vector
-product or a bilinear value is a plain int dot product over the product of
-the denominators.  Elimination is fraction-free Gauss-Jordan on integer
-rows, with the row's gcd divided out after each row operation, and each
-pivot row becomes Fractions once, at the end.  The determinant is Bareiss
-elimination on A, divided by d^n.  Inertia counts come from one kernel,
-``inertia_counts``: fraction-free symmetric elimination on A, in which a
-pivot p turns the trailing block B into |p| B - sign(p) a a^T, a congruence
-up to a positive scale.  Over F_p the kernels compute on plain int
-residues, reduce mod p once per dot product or row operation, and box
+denominators, so matrix = A / d.  It is built at most once per matrix, from
+the entries, or given directly: a matrix read from JSON is decoded straight
+into it (``jsonio.decode_matrix``).  Every Q kernel reads it.  Products,
+sums, negation, transposes and scalings produce their result's integer form
+directly (a product is (A B, d_A d_B) with the common gcd of d and the
+entries divided out, which keeps the form unique, so it also decides
+equality), and the result's Fraction entries are boxed only when ``entries``
+is first read.  Only a vector argument is scaled to integers per call: a
+matrix-vector product or a bilinear value is a plain int dot product over
+the product of the denominators.  Elimination is fraction-free Gauss-Jordan
+on integer rows, with the row's gcd divided out after each row operation,
+and each pivot row becomes Fractions once, at the end.  The determinant is
+Bareiss elimination on A, divided by d^n.  Inertia counts come from one
+kernel, ``inertia_counts``: fraction-free symmetric elimination on A, in
+which a pivot p turns the trailing block B into |p| B - sign(p) a a^T, a
+congruence up to a positive scale.  Over F_p the kernels compute on plain
+int residues, reduce mod p once per dot product or row operation, and box
 results into Fp (the field's shared objects, ``PrimeField.residues``).
 Either way Fraction or Fp is the boundary type: every entry read from a
 Matrix and every scalar returned is one, and the row operations of an
@@ -325,8 +326,9 @@ class Matrix:
     Over Q a matrix keeps one integer form (A, d): integer rows A over the
     least common denominator d of its entries, with matrix = A / d.  It is
     built at most once, from the entries, or given directly by the results
-    of the Q kernels, whose Fraction entries are then boxed on first read of
-    ``entries``.  Both are kept once built; matrices are immutable.
+    of the Q kernels and by the JSON decoder, whose Fraction entries are
+    then boxed on first read of ``entries``.  Both are kept once built;
+    matrices are immutable.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_int")

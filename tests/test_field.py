@@ -223,3 +223,89 @@ class TestIntegerHelpers:
         assert PrimeField(5).least_nonresidue == 2
         assert PrimeField(7).least_nonresidue == 3
         assert PrimeField(23).least_nonresidue == 5
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if is_prime(n):
+            return n
+
+
+def _no_rho(n):
+    raise AssertionError("Pollard rho called on a %d-bit number" % n.bit_length())
+
+
+class TestSquarefreePart:
+    """squarefree_part keeps the primes of odd exponent and splits no square."""
+
+    @staticmethod
+    def _seeded_values(rng, count):
+        """(n, factors) pairs: primes below 10^3 and between 10^3 and 10^6 with
+        exponents 1-5 (cubes and fifth powers among them), and at most one
+        square of a prime up to 2^60, so that factorize stays fast."""
+        small = [p for p in range(2, 1000) if is_prime(p)]
+        values = [(1, {})]
+        while len(values) < count:
+            factors = {}
+            for _ in range(rng.randint(0, 4)):
+                p = rng.choice(small) if rng.random() < 0.7 else _random_prime(rng, 1000, 10 ** 6)
+                factors[p] = factors.get(p, 0) + rng.choice((1, 1, 2, 3, 5))
+            if rng.random() < 0.4:
+                p = _random_prime(rng, 10 ** 6, 2 ** 60)
+                factors[p] = factors.get(p, 0) + 2
+            n = 1
+            for p, e in factors.items():
+                n *= p ** e
+            values.append((n, factors))
+        return values
+
+    def test_matches_factorize_odd_exponents(self):
+        rng = random.Random(26)
+        for n, factors in self._seeded_values(rng, 2000):
+            assert factorize(n) == factors
+            sign = rng.choice((1, -1))
+            odd = sign
+            for p, e in factors.items():
+                if e % 2:
+                    odd *= p
+            assert squarefree_part(sign * n) == odd
+
+    def test_square_cofactor_is_not_split(self, monkeypatch):
+        rng = random.Random(50)
+        p, q = _random_prime(rng, 2 ** 50, 2 ** 51), _random_prime(rng, 2 ** 50, 2 ** 51)
+        n = 7 * 991 * (p * q) ** 2
+        monkeypatch.setattr(field_mod, "RHO_ITERATION_BUDGET", 10)
+        with pytest.raises(FactoringBudgetExceeded):
+            factorize(n)        # it splits the root p q
+        monkeypatch.setattr(field_mod, "_pollard_rho", _no_rho)
+        assert squarefree_part(n) == 6937
+        assert squarefree_part(-n) == -6937
+        assert QQ.square_class(Fraction(n, 4)).rep == 6937
+
+    def test_against_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(27)
+        for n, _ in self._seeded_values(rng, 60)[1:]:
+            n *= rng.choice((1, -1)) * rng.randint(1, 10 ** 6)
+            odd = -1 if n < 0 else 1
+            for p, e in sympy.factorint(abs(n)).items():
+                if e % 2:
+                    odd *= int(p)
+            assert squarefree_part(n) == odd
+
+
+class TestSquareClassProducts:
+    def test_rational_product_needs_no_factoring(self, monkeypatch):
+        rng = random.Random(28)
+        big = [_random_prime(rng, 10 ** 4, 10 ** 7) for _ in range(6)]
+        cases = []
+        for _ in range(200):
+            a, b = (Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 4) * rng.choice(big)
+                             ** rng.randint(0, 1), rng.randint(1, 10 ** 4))
+                    for _ in range(2))
+            cases.append((QQ.square_class(a), QQ.square_class(b), QQ.square_class(a * b)))
+        monkeypatch.setattr(field_mod, "_pollard_rho", _no_rho)
+        for ca, cb, cab in cases:
+            assert ca * cb == cab
+            assert (ca * cb).rep == cab.rep

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from wallfact.jsonio import (InputError, decode_factorization, decode_field,
                              encode_factorization, encode_field,
                              encode_isometry, encode_scalar,
                              encode_space, encode_vector, encode_walldata,
-                             projective_normalize)
+                             projective_normalize, _decode_rational)
+from wallfact.linalg import _int_matrix
 
 
 class TestScalars:
@@ -205,3 +207,64 @@ class TestDebugFormats:
         U = Subspace(QQ, 3, [(1, 0, 1), (0, 1, 0)])
         from wallfact.jsonio import encode_subspace
         assert decode_subspace(encode_subspace(U), space) == U
+
+
+class TestDecodeRational:
+    """The one parser of rational scalars agrees with Fraction on every
+    spelling, and a Q matrix decodes straight into its integer form."""
+
+    @staticmethod
+    def _fraction_halves(s):
+        x = Fraction(s)
+        return x.numerator, x.denominator
+
+    @staticmethod
+    def _spelling(rng):
+        """A random spelling: an optional sign, leading zeros, halves of 1-300
+        digits, fractions that are often not in lowest terms."""
+        def digits():
+            head = "0" * rng.choice((0, 0, 0, 1, 3))
+            return head + str(rng.randint(1, 10 ** rng.randint(1, 300)))
+        sign = rng.choice(("", "", "-", "+"))
+        num = digits()
+        if rng.random() < 0.5:
+            k = rng.randint(1, 10 ** rng.randint(1, 40))
+            num = str(int(num) * k)
+            den = str(rng.randint(1, 10 ** rng.randint(1, 260)) * k)
+            return "%s%s/%s" % (sign, num, den)
+        if rng.random() < 0.3:
+            return sign + num
+        return "%s%s/%s" % (sign, num, digits())
+
+    def test_spellings_match_fraction(self):
+        # non-ASCII digits ("١٢/٤") take the Fraction route
+        for s in TestRationalMatrices.SPELLINGS + ["-0", "-0/7", "000/0005", "١٢/٤"]:
+            assert _decode_rational(s) == self._fraction_halves(s)
+
+    def test_seeded_spellings_match_fraction(self):
+        rng = random.Random(26)
+        spellings = [self._spelling(rng) for _ in range(1200)]
+        assert any(len(s) > 250 for s in spellings)
+        for s in spellings:
+            assert _decode_rational(s) == self._fraction_halves(s), s
+
+    @pytest.mark.parametrize("bad", ["1/0", "-007/000", "1/-2", "1 / 2", "x", "", "/2", "1/",
+                                     "2//3", "-", "--1", "1/2/3"])
+    def test_bad_spellings_keep_fractions_message(self, bad):
+        with pytest.raises((ValueError, ZeroDivisionError)) as expected:
+            Fraction(bad)
+        with pytest.raises(InputError) as got:
+            _decode_rational(bad)
+        assert str(got.value) == "bad scalar %r: %s" % (bad, expected.value)
+
+    def test_matrix_decodes_into_the_integer_form(self):
+        rng = random.Random(27)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            obj = [[rng.choice((self._spelling(rng), rng.randint(-9, 9), "0"))
+                    for _ in range(cols)] for _ in range(rows)]
+            M = decode_matrix(obj, QQ)
+            assert M._entries is None
+            entries = [[decode_scalar(x, QQ) for x in row] for row in obj]
+            assert M._int_form() == _int_matrix(entries)
+            assert M.entries == tuple(map(tuple, entries))
