@@ -6,9 +6,10 @@ instances.  Both kinds support the usual arithmetic operators, so code
 above the linear-algebra layer is written once, generically.  The matrix
 kernels are not: each field has its own, and neither computes with these
 objects.  The rational ones work on integer rows scaled by a common
-denominator, which a matrix over Q keeps, and the F_p ones on plain int
-residues.  Both turn their results back into Fraction or Fp, the boundary
-types that every matrix entry read and every returned scalar has.  A
+denominator and the F_p ones on plain int residues; every matrix keeps its
+rows in that kernel form.  Both turn their results back into Fraction or
+Fp, the boundary types that every matrix entry read and every returned
+scalar has.  A
 PrimeField hands out one shared Fp object per residue
 (``PrimeField.residues``).
 

@@ -8,9 +8,10 @@ form matrix is symmetrized at load (which preserves Q).  Matrices and
 vectors are nested arrays, row-major.
 
 Every rational scalar is read by one parser, ``_decode_rational``, into its
-numerator and denominator.  Scalars and vectors box those as Fractions; a
-matrix over Q is built straight in its integer form (linalg's (A, d), matrix
-= A / d), so its Fraction entries are made only if they are read.
+numerator and denominator.  Scalars and vectors box those as Fractions.  A
+matrix over either field is built straight in its kernel form (linalg's
+(A, d), matrix = A / d: integer rows over Q, residues with d = 1 over F_p),
+so its entries are made only if they are read.
 """
 
 from __future__ import annotations
@@ -115,21 +116,18 @@ def encode_matrix(M):
 
 
 def decode_matrix(obj, field):
-    """A matrix over field; over Q it is built in its integer form (A, d), d
-    the lcm of the entries' reduced denominators, and its Fraction entries
-    are boxed only when first read."""
+    """A matrix over field, built in its kernel form (A, d): over Q d is the
+    lcm of the entries' reduced denominators, over F_p A holds residues and
+    d = 1.  Its entries are boxed only when first read."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be an array of arrays")
-    rational = field.kind == "rational"
-    if rational:
+    if field.kind == "rational":
         rows = [[_decode_rational(x) for x in row] for row in obj]
     else:
-        rows = tuple(tuple(decode_scalar(x, field) for x in row) for row in obj)
+        rows = [[(decode_scalar(x, field).value, 1) for x in row] for row in obj]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise InputError("bad matrix: ragged rows")
-    if not rational:
-        return Matrix._of(field, rows, ncols)
     d = lcm(*[q for row in rows for _, q in row])
     return Matrix._of_int(field, [[n * (d // q) for n, q in row] for row in rows], d, ncols)
 

@@ -1,49 +1,49 @@
 """Exact dense linear algebra over the scalar fields.
 
-Matrices are immutable row-major grids of field elements.  Subspaces are
-kept in canonical form: the reduced row echelon basis of their row span, so
-two Subspace objects are equal (and hash alike) exactly when they describe
-the same subspace.  Everything is plain Gaussian elimination; inputs are
-desk-scale and exactness beats asymptotics here.
+Matrices are immutable.  A Subspace is the matrix of the reduced row echelon
+basis of its row span, which is canonical, so two subspaces are equal (and
+hash alike) exactly when they describe the same subspace.  Everything is
+plain Gaussian elimination; inputs are desk-scale and exactness beats
+asymptotics here.
 
-Each field has one set of kernels (products, sums, elimination and
-determinants), chosen from the matrix's field.  Over Q a matrix keeps one
-integer form (A, d): integer rows A over d, the lcm of its entries'
-denominators, so matrix = A / d.  It is built at most once per matrix, from
-the entries, or given directly: a matrix read from JSON is decoded straight
-into it (``jsonio.decode_matrix``).  Every Q kernel reads it.  Products,
-sums, negation, transposes and scalings produce their result's integer form
-directly (a product is (A B, d_A d_B) with the common gcd of d and the
-entries divided out, which keeps the form unique, so it also decides
-equality), and the result's Fraction entries are boxed only when ``entries``
-is first read.  Only a vector argument is scaled to integers per call: a
-matrix-vector product or a bilinear value is a plain int dot product over
-the product of the denominators.  Elimination is fraction-free Gauss-Jordan
-on integer rows, with the row's gcd divided out after each row operation,
-and each pivot row becomes Fractions once, at the end.  The determinant is
-Bareiss elimination on A, divided by d^n.  Inertia counts come from one
-kernel, ``inertia_counts``: fraction-free symmetric elimination on A, in
-which a pivot p turns the trailing block B into |p| B - sign(p) a a^T, a
-congruence up to a positive scale.  Over F_p the kernels compute on plain
-int residues, reduce mod p once per dot product or row operation, and box
-results into Fp (the field's shared objects, ``PrimeField.residues``).
-Either way Fraction or Fp is the boundary type: every entry read from a
-Matrix and every scalar returned is one, and the row operations of an
-elimination touch none.  Results built from entries that are already field
-elements skip the per-entry coercion that Matrix(field, entries) and
-Subspace(field, n, vectors) apply to outside input.
+Every matrix keeps one kernel form (A, d), matrix = A / d with A lists of
+ints: over Q integer rows over d, the lcm of the entries' denominators, and
+over F_p residues in [0, p) with d = 1.  It is built at most once, from the
+entries, or given directly (a matrix read from JSON is decoded straight
+into it by ``jsonio.decode_matrix``), and it is unique, so it decides
+equality.  Each Matrix operation is one code path on it: a product is
+(A B, d_A d_B), and every result is brought back to the canonical form (the
+common gcd of d and A divided out over Q, A reduced mod p over F_p).
+Entries are boxed into Fraction or Fp (the field's shared objects,
+``PrimeField.residues``) only when ``entries`` is first read; those are the
+types of every entry read and every scalar returned, and no kernel touches
+one.  A vector argument is put in kernel form per call, so a matrix-vector
+product or a bilinear value is one int dot product over the product of the
+denominators.
 
-Reflection words and form preservation have one kernel per field each.
+What differs by field is kept in two places.  The kernels that genuinely
+differ are dispatched once each: elimination (``_rref``: fraction-free
+Gauss-Jordan on primitive integer rows over Q, mod p over F_p), the
+determinant (``_det``: Bareiss over Q), the reflection word and the form
+check.  Outside them three small conversions differ: field elements to
+kernel form, the canonical form, and kernel scalars back to field elements.
+``_rref`` returns canonical rows (primitive with a positive pivot entry over
+Q, pivot entry 1 over F_p), and ``_echelon_form`` turns them into the kernel
+form of the reduced echelon matrix, a step that ``Matrix.rref``,
+``inverse``, ``solve_all``, ``kernel`` and every Subspace share.  Inertia
+counts exist over Q only: ``inertia_counts`` is fraction-free symmetric
+elimination on A, in which a pivot p turns the trailing block B into
+|p| B - sign(p) a a^T, a congruence up to a positive scale.
+
 ``reflection_product(B, vectors)`` is the matrix of a word of reflections
 r_v = I - v (B v)^T / Q(v), built from I by one rank-one update per
-reflection, O(n^2) each: over Q on the integer form of B, with the result
-left in integer form, over F_p on int residues.  ``preserves_form(M, S)``
-decides M^T S M = S on the same integer forms (A^T G A = d^2 G for
-A = d M, G = s S) or residues, without building a product matrix.
+reflection, O(n^2) each.  ``preserves_form(M, S)`` decides M^T S M = S on
+the kernel forms (A^T G A = d^2 G for A = d M, G = s S, mod p over F_p)
+without building a product matrix.
 
 The coordinate layer goes through three helpers built on those kernels.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
-coordinates, u X v^T (over Q one int dot product on the integer form of X);
+coordinates, u X v^T, one int dot product on the kernel form of X;
 ``restrict_bilinear(X, rows)`` is the one restriction of a form, the matrix
 C X C^T on coordinate rows C; and ``combine(field, coords, rows, ncols)`` is
 the one row combination, the rows of C B for coordinate rows C and basis
@@ -78,44 +78,117 @@ DEFAULT_SUBSPACE_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# kernels: rows in are lists of "kernel scalars", which are ints over Q (each
-# row an integer multiple of the row it stands for: elimination and spans do
-# not see row scales) and int residues in [0, p) over F_p
+# the kernel form: a matrix is (A, d), matrix = A / d, with A lists of ints.
+# Over Q, A holds integer rows over d, the lcm of the entries' denominators;
+# over F_p, A holds residues in [0, p) and d = 1.  Kernel rows that stand for
+# a row span may carry any nonzero scale over Q: elimination and spans do not
+# see it.  Outside the kernels only three conversions differ by field: field
+# elements to kernel form (a matrix, a vector or a scalar), the canonical
+# form, and kernel scalars back to field elements.
 
-def _kernel_rows(field, rows):
-    """Rows of field elements as fresh lists of kernel scalars."""
+def _kernel_form(field, rows):
+    """Rows of field elements in kernel form (A, d)."""
     if isinstance(field, PrimeField):
-        return [[x.value for x in row] for row in rows]
-    return [_int_row(row)[0] for row in rows]
+        return [[x.value for x in row] for row in rows], 1
+    return _int_matrix(rows)
 
 
-def _matrix_rows(M):
-    """The rows of M as kernel scalars: the rows of its integer form over Q
-    (shared with M, so only read), fresh residue lists over F_p."""
-    if isinstance(M.field, PrimeField):
-        return _kernel_rows(M.field, M.entries)
-    return M._int_form()[0]
-
-
-def _field_rows(field, rows):
-    """Rows of kernel scalars boxed into a tuple of tuples of field elements."""
+def _kernel_vector(field, v):
+    """A vector of field elements as (ints, d) with v = ints / d."""
     if isinstance(field, PrimeField):
-        box = field.residues
-        return tuple(tuple(box[x] for x in row) for row in rows)
-    return tuple(tuple(row) for row in rows)
+        return [x.value for x in v], 1
+    return _int_row(v)
+
+
+def _kernel_scalar(field, c):
+    """A field element as (n, d) with c = n / d."""
+    if isinstance(field, PrimeField):
+        return c.value, 1
+    return c.numerator, c.denominator
+
+
+def _canonical(field, A, d):
+    """The kernel form of the matrix A / d, for any ints A and d > 0: over Q
+    with the common gcd of d and A divided out, over F_p (where d is 1)
+    with A reduced mod p.  It is unique, so it decides equality."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [[x % p for x in row] for row in A], 1
+    if d == 1:
+        return A, d
+    g = gcd(d, *itertools.chain.from_iterable(A))
+    if g == 1:
+        return A, d
+    return [[x // g for x in row] for row in A], d // g
+
+
+def _field_vector(field, ints, d):
+    """The kernel scalars ints over d as a tuple of field elements (over F_p
+    d is 1, and the ints are reduced mod p here)."""
+    if isinstance(field, PrimeField):
+        box, p = field.residues, field.p
+        return tuple([box[x % p] for x in ints])
+    if d == 1:
+        return tuple(map(Fraction, ints))
+    return tuple([Fraction(x, d) for x in ints])
 
 
 def _rref(field, rows, ncols):
     """Reduced row echelon form of a list of rows of kernel scalars.
 
-    Returns (rows, pivots) where rows is a list of lists of field elements
-    over Q and of residues over F_p, with the zero rows removed, and pivots
-    the increasing list of pivot columns.  The input list may be reordered;
-    over F_p its rows are overwritten, over Q they are only read.
+    Returns (rows, pivots) where rows are kernel rows, with the zero rows
+    removed, and pivots the increasing list of pivot columns: over Q
+    primitive integer rows with a positive pivot entry, over F_p residue
+    rows with pivot entry 1, so both are canonical.  The input rows are
+    read, never modified.
     """
     if isinstance(field, PrimeField):
         return _rref_mod(rows, ncols, field.p)
     return _rref_int(rows, ncols)
+
+
+def _echelon_form(rows, pivots):
+    """The kernel form (E, L) of the reduced row echelon form that _rref
+    gives as rows and pivots: L is the lcm of the pivot entries and row i
+    of E is row i of rows times L over its pivot entry (over F_p every pivot
+    entry is 1, so E is rows).  The rows are primitive, so (E, L) has no
+    common factor: it is canonical."""
+    L = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    if L == 1:
+        return rows, 1
+    E = []
+    for row, c in zip(rows, pivots):
+        s = L // row[c]
+        E.append(row if s == 1 else [s * x for x in row])
+    return E, L
+
+
+def _null_rows(field, rows, ncols):
+    """Kernel rows spanning the null space of the matrix with the given
+    kernel rows: with (E, L) its echelon form, free column f gives
+    L e_f - sum_i E[i][f] e_(pivot i)."""
+    reduced, pivots = _rref(field, rows, ncols)
+    E, L = _echelon_form(reduced, pivots)
+    pivot_set = set(pivots)
+    null = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = L
+        for row, c in zip(E, pivots):
+            v[c] = -row[f]
+        null.append(v)
+    return _canonical(field, null, 1)[0]
+
+
+def _det(field, rows):
+    """The determinant of a square matrix of kernel rows, as a kernel
+    scalar; the rows are read, never modified."""
+    work = [row[:] for row in rows]
+    if isinstance(field, PrimeField):
+        return _det_mod(work, field.p)
+    return _det_int(work)
 
 
 def _pivot_row(work, r, c):
@@ -145,17 +218,6 @@ def _int_matrix(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _reduced(A, d):
-    """The integer form of the matrix A / d: A and d > 0 with their common
-    gcd divided out, so that d is the lcm of the entries' denominators."""
-    if d == 1:
-        return A, d
-    g = gcd(d, *itertools.chain.from_iterable(A))
-    if g == 1:
-        return A, d
-    return [[x // g for x in row] for row in A], d // g
-
-
 def _transposed(A, ncols):
     """The transpose of the integer rows A, which have ncols columns each."""
     if not A:
@@ -169,9 +231,9 @@ def _primitive(row):
 
 
 def _rref_int(rows, ncols):
-    """Fraction-free Gauss-Jordan on integer rows, each kept primitive; pivot
-    rows become Fraction rows once, at the end.  The input rows are read,
-    never modified."""
+    """Fraction-free Gauss-Jordan on integer rows, each kept primitive, and
+    each pivot row's sign made positive at the end.  The input rows are
+    read, never modified."""
     work = [_primitive(row) for row in rows]
     nrows = len(work)
     pivots = []
@@ -196,7 +258,7 @@ def _rref_int(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)], pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
 
 
 def _det_int(work):
@@ -264,7 +326,8 @@ def _inertia_int(G):
     return pos, neg, len(G) - pos - neg
 
 
-def _rref_mod(work, ncols, p):
+def _rref_mod(rows, ncols, p):
+    work = [row[:] for row in rows]
     nrows = len(work)
     pivots = []
     r = 0
@@ -315,7 +378,7 @@ def _check_same_field(a, b):
     """Raise as the scalars would when operands live in different fields."""
     if a == b:
         return
-    if isinstance(a, PrimeField) and isinstance(b, PrimeField):
+    if a.characteristic and b.characteristic:
         raise ValueError("mixed characteristics: F_%d vs F_%d" % (a.p, b.p))
     raise TypeError("operands over %r and %r" % (a, b))
 
@@ -323,11 +386,11 @@ def _check_same_field(a, b):
 class Matrix:
     """Immutable matrix over a fixed field.
 
-    Over Q a matrix keeps one integer form (A, d): integer rows A over the
-    least common denominator d of its entries, with matrix = A / d.  It is
-    built at most once, from the entries, or given directly by the results
-    of the Q kernels and by the JSON decoder, whose Fraction entries are
-    then boxed on first read of ``entries``.  Both are kept once built;
+    A matrix keeps one kernel form (A, d), matrix = A / d: over Q integer
+    rows A over the least common denominator d of its entries, over F_p
+    residue rows A with d = 1.  It is built at most once, from the entries,
+    or given directly by the kernels and by the JSON decoder, whose entries
+    are then boxed on first read of ``entries``.  Both are kept once built;
     matrices are immutable.
     """
 
@@ -363,8 +426,8 @@ class Matrix:
 
     @classmethod
     def _of_int(cls, field, A, d, cols):
-        """Internal result over Q: the matrix A / d, given by its integer
-        form (lists of ints A, d > 0 the least common denominator)."""
+        """Internal result: the matrix A / d, given by its kernel form (lists
+        of ints A and d, as ``_canonical`` gives them)."""
         M = object.__new__(cls)
         M.field = field
         M.rows = len(A)
@@ -379,18 +442,16 @@ class Matrix:
         entries = self._entries
         if entries is None:
             A, d = self._int
-            if d == 1:
-                entries = tuple([tuple(map(Fraction, row)) for row in A])
-            else:
-                entries = tuple([tuple([Fraction(x, d) for x in row]) for row in A])
-            self._entries = entries
+            field = self.field
+            entries = self._entries = tuple([_field_vector(field, row, d) for row in A])
         return entries
 
     def _int_form(self):
-        """The integer form (A, d) of a matrix over Q, built at most once."""
+        """The kernel form (A, d), built at most once; A is shared, so only
+        read."""
         form = self._int
         if form is None:
-            form = self._int = _int_matrix(self._entries)
+            form = self._int = _kernel_form(self.field, self._entries)
         return form
 
     @classmethod
@@ -404,8 +465,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        zero = field.zero
-        return cls._of(field, ((zero,) * cols,) * rows, cols)
+        return cls._of_int(field, [[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def diagonal(cls, field, values):
@@ -429,13 +489,8 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self):
-        field = self.field
-        if not isinstance(field, PrimeField):
-            A, d = self._int_form()
-            return Matrix._of_int(field, _transposed(A, self.cols), d, self.rows)
-        if self.rows == 0:
-            return Matrix._of(field, ((),) * self.cols, 0)
-        return Matrix._of(field, tuple(zip(*self.entries)), self.rows)
+        A, d = self._int_form()
+        return Matrix._of_int(self.field, _transposed(A, self.cols), d, self.rows)
 
     def __add__(self, other):
         return self._entrywise(other, add)
@@ -448,55 +503,36 @@ class Matrix:
             raise DimensionMismatch("%dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         field = self.field
         _check_same_field(field, other.field)
-        if isinstance(field, PrimeField):
-            p, box = field.p, field.residues
-            entries = tuple([tuple([box[op(a.value, b.value) % p] for a, b in zip(r1, r2)])
-                             for r1, r2 in zip(self.entries, other.entries)])
-            return Matrix._of(field, entries, self.cols)
         (A1, d1), (A2, d2) = self._int_form(), other._int_form()
         d = lcm(d1, d2)
         s1, s2 = d // d1, d // d2
         rows = [[op(s1 * x, s2 * y) for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
-        return Matrix._of_int(field, *_reduced(rows, d), self.cols)
+        return Matrix._of_int(field, *_canonical(field, rows, d), self.cols)
 
     def __neg__(self):
         field = self.field
-        if isinstance(field, PrimeField):
-            return Matrix._of(field, tuple(tuple(-a for a in row) for row in self.entries),
-                              self.cols)
         A, d = self._int_form()
-        return Matrix._of_int(field, [[-x for x in row] for row in A], d, self.cols)
+        return Matrix._of_int(field, *_canonical(field, [[-x for x in row] for row in A], d),
+                              self.cols)
 
     def scale(self, c):
         field = self.field
-        c = field(c)
-        if isinstance(field, PrimeField):
-            return Matrix._of(field, tuple(tuple(c * a for a in row) for row in self.entries),
-                              self.cols)
+        num, den = _kernel_scalar(field, field(c))
         A, d = self._int_form()
-        num = c.numerator
-        return Matrix._of_int(field, *_reduced([[num * x for x in row] for row in A],
-                                               d * c.denominator), self.cols)
+        return Matrix._of_int(field, *_canonical(field, [[num * x for x in row] for row in A],
+                                                 d * den), self.cols)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch("%dx%d @ %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        _check_same_field(self.field, other.field)
-        if self.cols == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
         field = self.field
-        if isinstance(field, PrimeField):
-            p, box = field.p, field.residues
-            cols = [[x.value for x in col] for col in zip(*other.entries)]
-            entries = tuple([tuple([box[sum(map(mul, r, c)) % p] for c in cols])
-                             for r in [[x.value for x in row] for row in self.entries]])
-            return Matrix._of(field, entries, other.cols)
+        _check_same_field(field, other.field)
         (A, da), (B, db) = self._int_form(), other._int_form()
-        cols = list(zip(*B))
+        cols = _transposed(B, other.cols)
         rows = [[sum(map(mul, r, c)) for c in cols] for r in A]
-        return Matrix._of_int(field, *_reduced(rows, da * db), other.cols)
+        return Matrix._of_int(field, *_canonical(field, rows, da * db), other.cols)
 
     def apply(self, v):
         """Matrix times column vector, as a tuple."""
@@ -504,67 +540,49 @@ class Matrix:
         v = tuple(map(field, v))
         if len(v) != self.cols:
             raise DimensionMismatch("vector of length %d against %d columns" % (len(v), self.cols))
-        if isinstance(field, PrimeField) or not v:
-            return tuple(_dot(row, v) for row in self.entries)
-        iv, dv = _int_row(v)
+        iv, dv = _kernel_vector(field, v)
         A, d = self._int_form()
-        d *= dv
-        return tuple([Fraction(sum(map(mul, r, iv)), d) for r in A])
+        return _field_vector(field, [sum(map(mul, r, iv)) for r in A], d * dv)
 
     def is_zero(self):
-        if isinstance(self.field, PrimeField):
-            return all(not x for row in self.entries for x in row)
         return not any(map(any, self._int_form()[0]))
 
     def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        if isinstance(self.field, PrimeField):
-            return all(self.entries[i][j] == self.entries[j][i]
-                       for i in range(self.rows) for j in range(i + 1, self.cols))
-        return _is_symmetric(self._int_form()[0])
+        return self.rows == self.cols and _is_symmetric(self._int_form()[0])
 
     def rref(self):
-        rows, pivots = _rref(self.field, _matrix_rows(self), self.cols)
-        return Matrix._of(self.field, _field_rows(self.field, rows), self.cols), tuple(pivots)
+        reduced, pivots = _rref(self.field, self._int_form()[0], self.cols)
+        R = Matrix._of_int(self.field, *_echelon_form(reduced, pivots), self.cols)
+        return R, tuple(pivots)
 
     def rank(self):
-        return len(_rref(self.field, _matrix_rows(self), self.cols)[1])
+        return len(_rref(self.field, self._int_form()[0], self.cols)[1])
 
     def det(self):
         if self.rows != self.cols:
             raise NonSquare("determinant of a %dx%d matrix" % (self.rows, self.cols))
-        field = self.field
-        if isinstance(field, PrimeField):
-            return field.residues[_det_mod(_kernel_rows(field, self.entries), field.p)]
         A, d = self._int_form()
-        return Fraction(_det_int([row[:] for row in A]), d ** self.rows)
+        return _field_vector(self.field, (_det(self.field, A),), d ** self.rows)[0]
 
     def inverse(self):
         if self.rows != self.cols:
             raise NonSquare("inverse of a %dx%d matrix" % (self.rows, self.cols))
         n = self.rows
-        field = self.field
-        if isinstance(field, PrimeField):
-            aug = _kernel_rows(field, [row + e for row, e in
-                                       zip(self.entries, Matrix.identity(field, n).entries)])
-        else:
-            A, d = self._int_form()      # [A | d I] is d [M | I]
-            aug = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(A)]
-        reduced, pivots = _rref(field, aug, 2 * n)
-        if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
+        A, d = self._int_form()      # [A | d I] is d [M | I]
+        aug = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(A)]
+        reduced, pivots = _rref(self.field, aug, 2 * n)
+        if pivots[:n] != list(range(n)) or len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix._of(field, _field_rows(field, [row[n:] for row in reduced]), n)
+        # the echelon form is L [I | M^-1], and L is prime to the right half
+        E, L = _echelon_form(reduced, pivots)
+        return Matrix._of_int(self.field, [row[n:] for row in E], L, n)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field:
-            return False
-        if isinstance(self.field, PrimeField):
-            return self.entries == other.entries
-        # the integer form is unique, so it decides equality
-        return self._int_form() == other._int_form()
+        # the kernel form is unique, so it decides equality
+        return (self.field == other.field and self.cols == other.cols
+                and self._int_form() == other._int_form())
 
     def __hash__(self):
         return hash((self.field, self.entries))
@@ -576,36 +594,15 @@ class Matrix:
         return "Matrix(%r, [%s])" % (self.field, body)
 
 
-def _dot(u, v):
-    it = zip(u, v)
-    try:
-        a, b = next(it)
-    except StopIteration:
-        raise DimensionMismatch("dot product of empty vectors needs a field zero") from None
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
-def dot(u, v):
-    """Plain coordinate dot product of two equal-length vectors."""
-    if len(u) != len(v):
-        raise DimensionMismatch("dot of lengths %d and %d" % (len(u), len(v)))
-    return _dot(u, v)
-
-
 def bilinear_value(X, u, v):
     """u X v^T for coordinate row vectors u and v (field elements or ints).
 
-    Over Q it is one int dot product on the integer form of X and the two
-    vectors scaled to integer rows, over the product of the denominators.
+    It is one int dot product on the kernel form of X and the two vectors in
+    kernel form, over the product of the denominators.
     """
     field = X.field
     if not X.rows:
         return field.zero
-    if isinstance(field, PrimeField):
-        return dot(tuple(map(field, u)), X.apply(v))
     same = u is v
     u = tuple(map(field, u))
     v = u if same else tuple(map(field, v))
@@ -614,9 +611,10 @@ def bilinear_value(X, u, v):
     if len(u) != X.rows:
         raise DimensionMismatch("dot of lengths %d and %d" % (len(u), X.rows))
     A, d = X._int_form()
-    iv, dv = _int_row(v)
-    iu, du = (iv, dv) if same else _int_row(u)
-    return Fraction(sum(map(mul, iu, [sum(map(mul, r, iv)) for r in A])), d * du * dv)
+    iv, dv = _kernel_vector(field, v)
+    iu, du = (iv, dv) if same else _kernel_vector(field, u)
+    value = sum(map(mul, iu, [sum(map(mul, r, iv)) for r in A]))
+    return _field_vector(field, (value,), d * du * dv)[0]
 
 
 def inertia_counts(S):
@@ -626,8 +624,9 @@ def inertia_counts(S):
 
 
 def restrict_bilinear(X, rows):
-    """Matrix C X C^T of the form X on the coordinate rows C."""
-    C = Matrix(X.field, rows, cols=X.rows)
+    """Matrix C X C^T of the form X on the coordinate rows C (a Matrix, or
+    rows of scalars)."""
+    C = rows if isinstance(rows, Matrix) else Matrix(X.field, rows, cols=X.rows)
     return C @ X @ C.transpose()
 
 
@@ -639,7 +638,8 @@ def combine(field, coords, rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# reflection words and form preservation: one kernel per field each
+# reflection words and form preservation: one kernel per field each, both
+# on the kernel forms
 
 def reflection_product(B, vectors):
     """The matrix of r_{v_1} ... r_{v_m}, where r_v = I - v (B v)^T / Q(v)
@@ -658,24 +658,24 @@ def reflection_product(B, vectors):
     for v in vectors:
         if len(v) != n:
             raise DimensionMismatch("vector of length %d in dimension %d" % (len(v), n))
+    G, rows = B._int_form()[0], [_kernel_vector(field, v)[0] for v in vectors]
     if isinstance(field, PrimeField):
-        rows = _reflection_product_mod(field.p, _kernel_rows(field, B.entries),
-                                       _kernel_rows(field, vectors))
-        return Matrix._of(field, _field_rows(field, rows), n)
-    A, D = _reflection_product_int(B._int_form()[0], vectors)
+        A, D = _reflection_product_mod(field.p, G, rows), 1
+    else:
+        A, D = _reflection_product_int(G, rows)
     return Matrix._of_int(field, A, D, n)
 
 
 def _reflection_product_int(G, vectors):
-    """The word over Q as (A, D) with matrix A / D.  With B = G / s and v
-    scaled to a primitive integer row (reflections ignore both scales),
+    """The word over Q as (A, D) with matrix A / D.  With B = G / s and each
+    integer row v made primitive (reflections ignore both scales),
     r_v = I - 2 v (G v)^T / q for q = v^T G v, so A <- q A - 2 (A v)(G v)^T
     and D <- q D, with gcd(D, entries) divided out after each step."""
     n = len(G)
     A = [[int(i == j) for j in range(n)] for i in range(n)]
     D = 1
     for v in vectors:
-        v = _primitive(_int_row(v)[0])
+        v = _primitive(v)
         w = [sum(map(mul, g, v)) for g in G]
         q = sum(map(mul, v, w))
         if not q:
@@ -716,8 +716,8 @@ def _reflection_product_mod(p, G, vectors):
 def preserves_form(M, S):
     """Whether M^T S M = S, decided without a product matrix.
 
-    Over Q, with A = d M and G = s S integer matrices, the test is
-    A^T G A = d^2 G; over F_p it is the same products on int residues.  The
+    On the kernel forms A = d M and G = s S the test is A^T G A = d^2 G over
+    Q, and the same products mod p over F_p (where d = 1).  The
     first unequal entry ends the test.  When S is symmetric both sides are,
     so the entries on and above the diagonal decide it; the kernels take
     that as an argument, so a caller testing many M against one S decides
@@ -728,12 +728,10 @@ def preserves_form(M, S):
     if S.cols != n or M.rows != n or M.cols != n:
         raise DimensionMismatch("%dx%d matrix against a %dx%d form"
                                 % (M.rows, M.cols, S.rows, S.cols))
-    field = M.field
-    G = _matrix_rows(S)
-    if isinstance(field, PrimeField):
-        return _preserves_form_mod(field.p, _kernel_rows(field, zip(*M.entries)), G,
-                                   _is_symmetric(G))
+    G = S._int_form()[0]
     A, d = M._int_form()
+    if isinstance(M.field, PrimeField):
+        return _preserves_form_mod(M.field.p, list(zip(*A)), G, _is_symmetric(G))
     return _preserves_form_int(list(zip(*A)), d, G, _is_symmetric(G))
 
 
@@ -741,7 +739,7 @@ def _is_symmetric(rows):
     return all(list(col) == row for col, row in zip(zip(*rows), rows))
 
 
-# the two kernels take the columns of A (of M over F_p) and the rows of G
+# the two kernels take the columns of A and the rows of G
 
 def _preserves_form_int(cols, d, G, symmetric):
     d2 = d * d
@@ -794,45 +792,30 @@ def solve_all(A, vectors):
             raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
     if not vectors:
         return []
-    n = A.cols
-    if isinstance(field, PrimeField):
-        aug = _kernel_rows(field, [row + rhs for row, rhs in zip(A.entries, zip(*vectors))])
-    else:
-        # row i of [A | b_1 ... b_k] times d e: rows scale freely
-        M, d = A._int_form()
-        R, e = _int_matrix(list(zip(*vectors)))
-        aug = [[e * x for x in row] + [d * y for y in rhs] for row, rhs in zip(M, R)]
-    reduced, pivots = _rref(field, aug, n + len(vectors))
+    n, k = A.cols, len(vectors)
+    # row i of [A | b_1 ... b_k] times d e: rows scale freely
+    M, d = A._int_form()
+    R, e = _kernel_form(field, list(zip(*vectors)))
+    aug = [[e * x for x in row] + [d * y for y in rhs] for row, rhs in zip(M, R)]
+    reduced, pivots = _rref(field, aug, n + k)
     if pivots and pivots[-1] >= n:
         return None
-    out = []
-    for j in range(n, n + len(vectors)):
-        x = [0] * n
-        for i, c in enumerate(pivots):
-            x[c] = reduced[i][j]
-        out.append(tuple(map(field, x)))
-    return out
+    E, L = _echelon_form(reduced, pivots)
+    X = [[0] * n for _ in range(k)]
+    for row, c in zip(E, pivots):
+        for j, x in enumerate(X):
+            x[c] = row[n + j]
+    return [_field_vector(field, x, L) for x in X]
 
 
 def kernel(A):
     """The null space of A as a Subspace of the column-index space."""
-    field = A.field
-    reduced, pivots = _rref(field, _matrix_rows(A), A.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * A.cols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
-        basis.append(v)
-    return Subspace(field, A.cols, basis)
+    return Subspace._span(A.field, A.cols, _null_rows(A.field, A._int_form()[0], A.cols))
 
 
 def image(A):
     """The column space of A as a Subspace."""
-    return Subspace._span(A.field, A.rows, _matrix_rows(A.transpose()))
+    return Subspace._span(A.field, A.rows, _transposed(A._int_form()[0], A.cols))
 
 
 def rank(A):
@@ -844,9 +827,13 @@ def det(A):
 
 
 class Subspace:
-    """A linear subspace, canonically represented by its RREF row basis."""
+    """A linear subspace, kept as its basis matrix: the reduced row echelon
+    form of its row span, which _rref and _echelon_form give in kernel form.
+    It is canonical, so two subspaces are equal (and hash alike) exactly
+    when they describe the same subspace.  ``basis`` is that matrix's
+    entries, boxed on first read."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "_matrix")
 
     def __init__(self, field, ambient_dim, vectors=()):
         vectors = [tuple(map(field, v)) for v in vectors]
@@ -854,7 +841,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                         % (len(v), ambient_dim))
-        self._reduce(field, ambient_dim, _kernel_rows(field, vectors))
+        self._reduce(field, ambient_dim, [_kernel_vector(field, v)[0] for v in vectors])
 
     @classmethod
     def _span(cls, field, ambient_dim, rows):
@@ -864,10 +851,10 @@ class Subspace:
         return U
 
     def _reduce(self, field, ambient_dim, rows):
-        rows, _ = _rref(field, rows, ambient_dim)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = _field_rows(field, rows)
+        self._matrix = Matrix._of_int(field, *_echelon_form(*_rref(field, rows, ambient_dim)),
+                                      ambient_dim)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -875,14 +862,19 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls._span(field, ambient_dim, _matrix_rows(Matrix.identity(field, ambient_dim)))
+        return cls._span(field, ambient_dim, Matrix.identity(field, ambient_dim)._int_form()[0])
+
+    @property
+    def basis(self):
+        """The canonical basis rows, as a tuple of tuples of field elements."""
+        return self._matrix.entries
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self._matrix.rows
 
     def basis_matrix(self):
-        return Matrix._of(self.field, self.basis, self.ambient_dim)
+        return self._matrix
 
     def contains(self, v):
         return self.coordinates_of(v) is not None
@@ -893,7 +885,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                     % (len(v), self.ambient_dim))
-        if not self.basis:
+        if not self.dim:
             return () if is_zero_vector(v) else None
         # the basis is RREF, so coefficients can be read off the pivot entries
         coords = []
@@ -914,11 +906,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return self._matrix == other._matrix
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self._matrix.entries))
 
     def __repr__(self):
         return "Subspace(dim %d of %d over %r)" % (self.dim, self.ambient_dim, self.field)
@@ -926,19 +917,22 @@ class Subspace:
 
 def subspace_sum(U, W):
     _check_same_ambient(U, W)
-    return Subspace._span(U.field, U.ambient_dim, _kernel_rows(U.field, U.basis + W.basis))
+    return Subspace._span(U.field, U.ambient_dim,
+                          U._matrix._int_form()[0] + W._matrix._int_form()[0])
 
 
 def subspace_intersection(U, W):
     _check_same_ambient(U, W)
-    if U.dim == 0 or W.dim == 0:
-        return Subspace.zero(U.field, U.ambient_dim)
-    # solve a^T U.basis = b^T W.basis: kernel of the matrix with columns
-    # u_1..u_k, -w_1..-w_l, then read the a-part back through U's basis
-    cols = [list(v) for v in U.basis] + [[-x for x in w] for w in W.basis]
-    M = Matrix(U.field, list(zip(*cols)))
-    coords = [coeffs[:U.dim] for coeffs in kernel(M).basis]
-    return Subspace(U.field, U.ambient_dim, combine(U.field, coords, U.basis, U.ambient_dim))
+    field, n, k = U.field, U.ambient_dim, U.dim
+    if k == 0 or W.dim == 0:
+        return Subspace.zero(field, n)
+    # the null space of the matrix with columns u_1..u_k, -w_1..-w_l holds
+    # the (a, b) with a U = b W, and the rows a U span the intersection; on
+    # kernel rows the row scales change a and b, but not the span of a U
+    BU = U._matrix
+    cols = BU._int_form()[0] + (-W._matrix)._int_form()[0]
+    coords = [row[:k] for row in _null_rows(field, _transposed(cols, n), len(cols))]
+    return Subspace._span(field, n, (Matrix._of_int(field, coords, 1, k) @ BU)._int_form()[0])
 
 
 def contains(U, v):

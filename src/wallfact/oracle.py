@@ -27,7 +27,7 @@ from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (Matrix, TooLarge, _is_symmetric, _kernel_rows, _preserves_form_mod,
+from .linalg import (Matrix, TooLarge, _is_symmetric, _preserves_form_mod,
                      _reflection_product_mod, _rref_mod, projective_points)
 from .order import admissible_subspaces, less_equal
 from .quadspace import Isometry, NotIsometry
@@ -74,13 +74,13 @@ class GroupCensus:
         return tuple(reflection_generators(self.space))
 
     def _codes_of(self, f):
-        """The column codes of f, read off its residues (an isometry of
+        """The column codes of f, read off its residue rows (an isometry of
         another dimension gets a tuple of another length, which no key has)."""
         p = self.space.field.p
-        rows = f.matrix.entries
+        rows = f.matrix._int_form()[0]
         codes = [0] * len(rows)
         for row in rows:
-            codes = [c * p + x.value for c, x in zip(codes, row)]
+            codes = [c * p + x for c, x in zip(codes, row)]
         return tuple(codes)
 
     def length_of(self, f) -> int:
@@ -115,7 +115,7 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     if not isinstance(field, PrimeField):
         raise TypeError("group enumeration needs a finite field")
     p, n = field.p, space.dim
-    polar = _kernel_rows(field, space.polar_matrix.entries)
+    polar = space.polar_matrix._int_form()[0]
     tables = [_ColumnImages(_reflection_product_mod(p, polar, [[x.value for x in v]]), p)
               for v in _generator_points(space)]
     identity = tuple(p ** (n - 1 - j) for j in range(n))    # codes of e_0 .. e_{n-1}
@@ -264,7 +264,7 @@ def verify_length_formula(census) -> VerificationReport:
     """
     space = census.space
     p, n = space.field.p, space.dim
-    S = _kernel_rows(space.field, space.gram.entries)
+    S = space.gram._int_form()[0]
     twice_s = [[2 * x % p for x in row] for row in S]
     upper = [(i, j) for j in range(n) for i in range(j + 1)]
     columns = {}                    # code -> (S v, [v - e_j for each j]) on residues
@@ -279,8 +279,7 @@ def verify_length_formula(census) -> VerificationReport:
                                        [[(x - (i == j)) % p for i, x in enumerate(v)]
                                         for j in range(n)])
             cols.append(col)
-        moved = [col[1][j][:] for j, col in enumerate(cols)]      # _rref_mod overwrites
-        dim = len(_rref_mod(moved, n, p)[0])
+        dim = len(_rref_mod([col[1][j] for j, col in enumerate(cols)], n, p)[0])
         if not dim:
             expected = 0
         elif all((cols[j][0][i] + cols[i][0][j] - twice_s[i][j]) % p == 0 for i, j in upper):
@@ -419,8 +418,7 @@ def census_cache_key(space):
     form digest.  A file whose key differs in any field is recomputed."""
     import hashlib
 
-    payload = repr((space.field.p, tuple(tuple(x.value for x in row)
-                                         for row in space.gram.entries)))
+    payload = repr((space.field.p, tuple(map(tuple, space.gram._int_form()[0]))))
     return {"version": CENSUS_FORMAT_VERSION, "p": space.field.p,
             "form_hash": hashlib.sha256(payload.encode()).hexdigest()}
 
@@ -456,7 +454,7 @@ def load_census(space, path):
         return None
     p, n = space.field.p, space.dim
     size = p ** n
-    G = _kernel_rows(space.field, space.gram.entries)
+    G = space.gram._int_form()[0]
     symmetric = _is_symmetric(G)    # decided once per load, not per element
     columns = {}                    # code -> its column as a residue vector
     codes = []

@@ -96,9 +96,10 @@ class QuadraticSpace:
         return bilinear_value(self.polar_matrix, self.vector(u), self.vector(v))
 
     def gram_on(self, rows):
-        """Matrix of Q-values on a list of vectors: G[i][j] = u_i^T S u_j."""
+        """Matrix of Q-values on a list of vectors, or on the basis of a
+        Subspace: G[i][j] = u_i^T S u_j."""
         if isinstance(rows, Subspace):
-            rows = rows.basis
+            rows = rows.basis_matrix()
         return restrict_bilinear(self.gram, rows)
 
     def polar_gram_on(self, rows):

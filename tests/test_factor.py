@@ -471,6 +471,25 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_matrix_and_subspace_methods_do_not_branch_on_the_field():
+    """Matrix and Subspace run one code path on the kernel form; what differs
+    by field sits in a few linalg helpers, dispatched once each."""
+    package = os.path.dirname(os.path.abspath(wallfact.__file__))
+    with open(os.path.join(package, "linalg.py")) as handle:
+        tree = ast.parse(handle.read(), filename="linalg.py")
+
+    def field_tests(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "isinstance" and len(n.args) == 2
+                and isinstance(n.args[1], ast.Name) and n.args[1].id == "PrimeField"]
+
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    in_methods = {name: field_tests(classes[name]) for name in ("Matrix", "Subspace")}
+    assert in_methods == {"Matrix": [], "Subspace": []}, in_methods
+    assert len(field_tests(tree)) <= 12
+
+
 def reference_nonalternating_witness(X):
     """The diagonal scan, then pairwise basis sums."""
     field, m = X.field, X.rows

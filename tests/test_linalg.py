@@ -7,6 +7,7 @@ import pytest
 from wallfact import (DimensionMismatch, Fp, Matrix, NonSquare, PrimeField, QQ,
                       Subspace, TooLarge, diagonal_space, enumerate_subspaces, image,
                       kernel, solve, subspace_intersection, subspace_sum, wall_form)
+from wallfact import linalg
 from wallfact.linalg import (bilinear_value, combine, contains, count_subspaces,
                              gaussian_binomial)
 
@@ -326,3 +327,158 @@ class TestEnumerateSubspaces:
     def test_rationals_rejected(self):
         with pytest.raises(TypeError):
             list(enumerate_subspaces(Subspace.full(QQ, 2)))
+
+
+class TestApplyWithoutColumns:
+    """An m x 0 matrix maps the empty vector to m zeros."""
+
+    @pytest.mark.parametrize("field", (QQ, PrimeField(3), PrimeField(5)), ids=str)
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_zero_columns(self, field, m):
+        for M in (Matrix.zeros(field, m, 0), Matrix(field, [()] * m, cols=0)):
+            image = M.apply(())
+            assert image == (field.zero,) * m
+            assert all(isinstance(x, Fraction if field is QQ else Fp) for x in image)
+            with pytest.raises(DimensionMismatch):
+                M.apply((1,))
+
+
+F_P = (PrimeField(3), PrimeField(5), PrimeField(7))
+
+
+def eager_fp_product(M, N):
+    field = M.field
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), field.zero)
+                       for col in zip(*N.entries)) for row in M.entries)
+
+
+class TestLazyResidueForm:
+    """Over F_p a Matrix keeps its residue rows; results box their Fp
+    entries, the field's shared residue objects, only when read."""
+
+    @staticmethod
+    def results(field, rng):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        M, N = random_matrix(field, rng, r, c), random_matrix(field, rng, r, c)
+        P = random_matrix(field, rng, c, rng.randint(1, 4))
+        a = field(rng.randint(-9, 9))
+        zipped = list(zip(M.entries, N.entries))
+        return [
+            (M @ P, eager_fp_product(M, P)),
+            (M + N, tuple(tuple(x + y for x, y in zip(*z)) for z in zipped)),
+            (M - N, tuple(tuple(x - y for x, y in zip(*z)) for z in zipped)),
+            (-M, tuple(tuple(-x for x in row) for row in M.entries)),
+            (M.scale(a), tuple(tuple(a * x for x in row) for row in M.entries)),
+            (M.transpose(), tuple(zip(*M.entries))),
+        ]
+
+    @pytest.mark.parametrize("field", F_P, ids=str)
+    def test_results_are_boxed_when_read(self, field):
+        rng = random.Random(2700 + field.p)
+        for _ in range(30):
+            for R, eager in self.results(field, rng):
+                assert R._entries is None
+                assert R._int_form() == ([[x.value for x in row] for row in eager], 1)
+                assert R.entries == eager
+                assert all(x is field.residues[x.value] for row in R.entries for x in row)
+                assert R.entries is R.entries
+
+    @pytest.mark.parametrize("field", F_P, ids=str)
+    def test_residue_form_is_built_once(self, field, monkeypatch):
+        calls = []
+        real = linalg._kernel_form
+
+        def counted(f, rows):
+            calls.append(f)
+            return real(f, rows)
+
+        monkeypatch.setattr(linalg, "_kernel_form", counted)
+        rng = random.Random(2710 + field.p)
+        M = Matrix(field, random_invertible(field, rng, 4).entries)
+        u, v = [rng.randint(0, 6) for _ in range(4)], [rng.randint(0, 6) for _ in range(4)]
+        calls.clear()
+        P = M @ M
+        P.entries
+        results = [P @ M, M + P, M - M, -M, M.scale(3), M.transpose() @ M, M.det(), M.rank(),
+                   M.rref(), M.inverse(), kernel(M), image(M), M.is_symmetric(), M.is_zero(),
+                   M == P, M.apply(v), bilinear_value(M, u, v),
+                   linalg.preserves_form(M, P), linalg.reflection_product(P + P.transpose(), [])]
+        assert results and calls == [field]
+
+
+def reference_rref(field, vectors):
+    """The reduced row echelon rows of the span of vectors, by plain
+    elimination on Fraction or Fp entries."""
+    rows = [[field(x) for x in v] for v in vectors]
+    out = []
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [[x - row[c] * y for x, y in zip(row, pivot)] for row in rows]
+        out = [[x - row[c] * y for x, y in zip(row, pivot)] for row in out] + [pivot]
+    return tuple(tuple(row) for row in out)
+
+
+def spanning_sets(field, rng, n):
+    """A seeded spanning set, and the same span given by random combinations
+    of it and by rescaled, reordered copies of its vectors."""
+    bound = 9 if field is QQ else field.p - 1
+    vectors = [tuple(random_scalar(field, rng, 6) if field is QQ else rng.randint(0, bound)
+                     for _ in range(n)) for _ in range(rng.randint(0, n))]
+    mixed = [tuple(sum((field(a) * field(x) for a, x in zip(coeffs, col)), field.zero)
+                   for col in zip(*vectors))
+             for coeffs in [[rng.randint(-3, 3) for _ in vectors] for _ in vectors]]
+    scales = [field(rng.randint(1, field.p - 1)) if field is not QQ
+              else Fraction(rng.choice((1, -2, 3, 7)), rng.choice((1, 5, 12))) for _ in vectors]
+    rescaled = [tuple(s * field(x) for x in v) for s, v in zip(scales, vectors)][::-1]
+    return vectors, mixed, rescaled
+
+
+class TestSubspaceForm:
+    """A Subspace is its echelon basis matrix: equality and hashing read it,
+    and agree with plain elimination on field elements."""
+
+    FIELDS = (QQ, PrimeField(3), PrimeField(5))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_equality_and_hash_match_the_field_rows(self, field):
+        rng = random.Random(2720 + field.characteristic)
+        seen = []
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            vectors, mixed, rescaled = spanning_sets(field, rng, n)
+            U, R = Subspace(field, n, vectors), Subspace(field, n, rescaled)
+            ref = reference_rref(field, vectors)
+            assert U.basis == ref
+            assert hash(U) == hash((field, n, ref))
+            assert R == U and hash(R) == hash(U)
+            assert reference_rref(field, rescaled) == ref
+            M = Subspace(field, n, mixed)
+            assert (M == U) == (reference_rref(field, mixed) == ref)
+            assert subspace_sum(U, M) == Subspace(field, n, vectors + mixed)
+            seen.append((U, ref))
+        for U, ref in seen:
+            for W, other in seen:
+                assert (U == W) == (U.ambient_dim == W.ambient_dim and ref == other)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_basis_and_matrix_are_kept(self, field):
+        rng = random.Random(2730 + field.characteristic)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            U = Subspace(field, n, spanning_sets(field, rng, n)[0])
+            assert U.basis_matrix() is U.basis_matrix()
+            assert U.basis_matrix()._entries is None        # boxed on first read
+            assert U.basis is U.basis
+            assert U.basis_matrix().entries is U.basis
+            assert U.dim == len(U.basis) == U.basis_matrix().rows
+            assert U.basis_matrix().cols == n
+
+    def test_zero_subspaces_of_different_ambient_dimensions_differ(self, f3):
+        assert Subspace.zero(f3, 2) != Subspace.zero(f3, 3)
+        assert Subspace.zero(QQ, 2) != Subspace.zero(QQ, 3)
+        assert Matrix.zeros(QQ, 0, 2) != Matrix.zeros(QQ, 0, 3)
