@@ -82,15 +82,20 @@ def _emit(args, payload):
 
 
 def _cap(args):
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("WALLFACT_CAP")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise jsonio.InputError("WALLFACT_CAP must be an integer, got %r" % env) from None
+    """The enumeration cap of --cap, else of WALLFACT_CAP, else None (the
+    defaults); a cap below 1 is malformed input."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("WALLFACT_CAP")
+        if not env:
+            return None
+        try:
+            cap = int(env)
+        except ValueError:
+            raise jsonio.InputError("WALLFACT_CAP must be an integer, got %r" % env) from None
+    if cap < 1:
+        raise jsonio.InputError("the enumeration cap must be at least 1, got %d" % cap)
+    return cap
 
 
 def cmd_length(args):
@@ -151,7 +156,7 @@ def cmd_interval(args):
         _emit(args, out)
         return
     cap = _cap(args)
-    poset = order_mod.interval(f, cap=cap) if cap else order_mod.interval(f)
+    poset = order_mod.interval(f) if cap is None else order_mod.interval(f, cap=cap)
     if args.dot:
         with open(args.dot, "w") as handle:
             handle.write(poset.to_dot() + "\n")
@@ -171,8 +176,8 @@ def cmd_oracle(args):
     if args.cache:
         census = oracle_mod.load_census(space, args.cache)
     if census is None:
-        census = (oracle_mod.enumerate_group(space, cap=cap) if cap
-                  else oracle_mod.enumerate_group(space))
+        census = (oracle_mod.enumerate_group(space) if cap is None
+                  else oracle_mod.enumerate_group(space, cap=cap))
         if args.cache:
             oracle_mod.save_census(census, args.cache)
     if args.check == "all":
@@ -219,7 +224,10 @@ def build_parser():
         if isometries:
             p.add_argument("--isometry", action="append",
                            help="isometry JSON file: {matrix}; repeatable")
-        p.add_argument("--cap", type=int, help="enumeration cap override")
+        p.add_argument("--cap", type=int,
+                       help="the most subspaces or group elements an enumeration may "
+                            "visit, at least 1 (default: WALLFACT_CAP, else the "
+                            "library's defaults); past it the command exits 1 with TooLarge")
         p.add_argument("--out", help="write the JSON output to a file")
 
     common(sub.add_parser("length", help="reflection length of an isometry"))

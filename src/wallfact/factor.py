@@ -7,11 +7,20 @@ above the diagonal peels f into reflections r_{e_1} ... r_{e_m} one split at
 a time.  In the totally singular case one auxiliary reflection is prepended
 first.  ``reflection_distance(g, h)`` = l(g^-1 h) is the one length rule.
 
-``triangular_rows`` is the one triangular-basis routine, one
-``triangular_step`` per level.  Its two first-level arguments pick the basis
-of u's right complement (RREF rows by default) and the scalar of the repair
-u + a v; lower levels take the defaults.  ``small_vectors`` is the one scan
-of e_i, e_i + e_j and e_i - e_j; each vector finder takes its first hit.
+``triangular_rows`` is the one triangular-basis routine: each level takes
+the right complement of its vector u in the reduced echelon basis
+e_j - (w_j / w_q) e_q (w = u X, q the last index with w_q != 0) and the
+form on it by one rank-one update of the kernel form
+(``linalg.RightComplement``), O(m^2) per level and O(m^3) in all, with no
+matrix product; the rows found below map back in O(m) each.  When the
+complement is alternating, u is repaired to u + a v for the first basis row
+v with X(v, u) != 0 (else the first row) and the first scalar a of 1, -1, 2
+(of 1, ..., p - 1 over F_p) that keeps the square of u + a v nonzero.
+``triangular_step`` is one level with a given complement and repair;
+positive bases take it with an LLL-reduced complement at their first level.
+``small_vectors`` is the one scan of e_i, e_i + e_j and e_i - e_j; each
+vector finder takes its first hit, and ``nonalternating_witness`` reads
+that hit off the kernel form of X + X^T.
 
 A Factorization with a target is certified on construction: its word,
 multiplied out by rank-one updates (``linalg.reflection_product``), must
@@ -22,7 +31,7 @@ checked by that product, which computes each Q(v); without a target, by
 
 from __future__ import annotations
 
-from .linalg import (Matrix, bilinear_value, combine, image, kernel, reflection_product,
+from .linalg import (Matrix, RightComplement, bilinear_value, combine, image, reflection_product,
                      restrict_bilinear, vec_add, vec_scale)
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
@@ -88,8 +97,8 @@ def form_row(X, u):
 
 
 def right_complement_rows(X, u):
-    """RREF basis rows of {y : u X y^T = 0} in coordinates."""
-    return kernel(Matrix._of(X.field, (form_row(X, u),), X.rows)).basis
+    """RREF basis rows of {y : u X y^T = 0} in coordinates (u X != 0)."""
+    return RightComplement(X, u).rows()
 
 
 def _unit(field, n, i):
@@ -112,12 +121,22 @@ def small_vectors(X):
 
 
 def nonalternating_witness(X):
-    """A coordinate vector u with X(u, u) != 0, or None if X is alternating.
+    """A coordinate vector u with X(u, u) != 0, or None if X is alternating:
+    the first small vector with a nonzero square.
 
     The small vectors are exhaustive: the squared value of any vector
     expands over the diagonal and the pairwise sums X(e_i, e_j) + X(e_j, e_i).
+    Once the diagonal vanishes, e_i + e_j comes before e_i - e_j and has
+    the opposite square, so both are read off the kernel form of the
+    symmetric S = X + X^T (S_ii = 2 X(e_i, e_i), char != 2), unboxed.
     """
-    return next((v for v, value in small_vectors(X) if value), None)
+    field, m = X.field, X.rows
+    S = (X + X.transpose())._int_form()[0]
+    i = next((i for i in range(m) if S[i][i]), None)
+    if i is not None:
+        return _unit(field, m, i)
+    return next((vec_add(_unit(field, m, i), _unit(field, m, j))
+                 for i in range(m) for j in range(i + 1, m) if S[i][j]), None)
 
 
 def _scalar_candidates(field):
@@ -133,12 +152,18 @@ def _generic_repair(X, u, v):
     return next(c for c in _scalar_candidates(X.field) if uu + c * vu)
 
 
+def _repaired(X, u, R, repair):
+    """u + a v for the first row v of R with X(v, u) != 0 (else R[0]) and
+    a = repair(X, u, v)."""
+    v = next((r for r in R if bilinear_value(X, r, u)), R[0])
+    return vec_add(u, vec_scale(repair(X, u, v), v))
+
+
 def triangular_step(X, u, complement, repair):
     """One level of a triangular basis: (u, R, X_R, witness), with R the
     ``complement`` rows of u and witness non-alternating for X_R = X|_R.
 
-    If X_R is alternating, u becomes u + a v for a row v of R (one with
-    X(v, u) != 0 if any) and a = ``repair(X, u, v)``; after that the
+    If X_R is alternating, u is repaired (``_repaired``); after that the
     complement cannot stay alternating, else CertificateError.
     """
     for _attempt in range(2):
@@ -147,26 +172,31 @@ def triangular_step(X, u, complement, repair):
         wit = nonalternating_witness(XR)
         if wit is not None:
             return u, R, XR, wit
-        v = next((r for r in R if bilinear_value(X, r, u)), R[0])
-        u = vec_add(u, vec_scale(repair(X, u, v), v))
+        u = _repaired(X, u, R, repair)
     raise CertificateError("triangular repair did not terminate")
 
 
-def triangular_rows(X, u, complement=right_complement_rows, repair=_generic_repair):
-    """Triangular basis of X starting at u (X(u, u) != 0): one
-    ``triangular_step`` per level, the given complement and repair at the
-    first level and the generic ones below it."""
+def triangular_rows(X, u):
+    """Triangular basis of X starting at u (X(u, u) != 0), as the rows of a
+    Matrix: u, repaired by ``_generic_repair`` when its right complement is
+    alternating, then the basis of the form on that complement, from its
+    first non-alternating witness, mapped back."""
     if X.rows == 1:
-        return [u]
-    u, R, XR, wit = triangular_step(X, u, complement, repair)
-    return [u, *combine(X.field, triangular_rows(XR, wit), R, X.rows)]
+        return Matrix(X.field, [u])
+    for _attempt in range(2):
+        comp = RightComplement(X, u)
+        wit = nonalternating_witness(comp.form)
+        if wit is not None:
+            return comp.lift(u, triangular_rows(comp.form, wit))
+        u = _repaired(X, u, comp.rows(), _generic_repair)
+    raise CertificateError("triangular repair did not terminate")
 
 
 def triangular_basis(chi):
     """Coordinate rows e_1..e_m with chi(e_i,e_i) != 0 and chi(e_i,e_j) = 0 for i<j.
 
     Requires chi non-degenerate and not alternating.  The first vector is a
-    non-alternating witness, repaired where ``triangular_step`` needs it.
+    non-alternating witness, repaired where its complement needs it.
     """
     m = chi.rows
     if m == 0:
@@ -176,7 +206,7 @@ def triangular_basis(chi):
     u = nonalternating_witness(chi)
     if u is None:
         raise AlternatingForm("chi(u, u) = 0 for every u")
-    return triangular_rows(chi, u)
+    return list(triangular_rows(chi, u).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +279,7 @@ def minimal_factorization(f) -> Factorization:
         return Factorization(space, (), target=f)
     wd = wall_form(f)
     if not space.is_totally_singular(wd.subspace):
-        vectors = combine(space.field, triangular_basis(wd.chi), wd.subspace.basis, space.dim)
+        vectors = combine(space.field, triangular_basis(wd.chi), wd.basis, space.dim)
         return Factorization(space, vectors, target=f)
     v = nonsingular_vector(space)
     g = space.reflection(v) @ f

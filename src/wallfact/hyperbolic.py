@@ -124,7 +124,8 @@ def hyperbolic_positive_factorization(f) -> Factorization:
             break
         # the coordinates a with sum a_i b_i[-1] = 0 on the basis rows b_i
         last = Matrix._of(field, (tuple(b[-1] for b in mov.basis),), mov.dim)
-        meet = Subspace(field, n, combine(field, kernel(last).basis, mov.basis, n))
+        meet = Subspace(field, n,
+                        combine(field, kernel(last).basis_matrix(), mov.basis_matrix(), n))
         if meet.dim < mov.dim - 1:
             raise CertificateError("the moved space meets x_{n+1} = 0 in dimension %d, "
                                    "expected at least %d" % (meet.dim, mov.dim - 1))

@@ -198,6 +198,8 @@ def encode_factorization(fact, positive=None):
 def decode_factorization(obj, space, target=None):
     if not isinstance(obj, dict) or "reflections" not in obj:
         raise InputError("factorization file needs a 'reflections' key")
+    if not isinstance(obj["reflections"], list):
+        raise InputError("'reflections' must be a list of vectors")
     vectors = [decode_vector(v, space.field) for v in obj["reflections"]]
     if "length" in obj and obj["length"] != len(vectors):
         raise InputError("declared length does not match the reflection count")
@@ -216,5 +218,7 @@ def encode_subspace(U):
 def decode_subspace(obj, space):
     if not isinstance(obj, dict) or "basis" not in obj:
         raise InputError("subspace needs a 'basis' key")
+    if not isinstance(obj["basis"], list):
+        raise InputError("'basis' must be a list of vectors")
     rows = [decode_vector(v, space.field) for v in obj["basis"]]
     return Subspace(space.field, space.dim, rows)

@@ -41,7 +41,7 @@ reflection, O(n^2) each.  ``preserves_form(M, S)`` decides M^T S M = S on
 the kernel forms (A^T G A = d^2 G for A = d M, G = s S, mod p over F_p)
 without building a product matrix.
 
-The coordinate layer goes through three helpers built on those kernels.
+The coordinate layer goes through a few helpers built on those kernels.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
 coordinates, u X v^T, one int dot product on the kernel form of X;
 ``restrict_bilinear(X, rows)`` is the one restriction of a form, the matrix
@@ -49,7 +49,14 @@ C X C^T on coordinate rows C; and ``combine(field, coords, rows, ncols)`` is
 the one row combination, the rows of C B for coordinate rows C and basis
 rows B, as a matrix product.  Coordinates on a subspace map back to ambient
 vectors, and vectors found in a complement map back to the coordinates of
-the larger form, through ``combine``.
+the larger form, through ``combine``.  ``restrict_bilinear``, ``combine``
+and ``solve_all`` take a Matrix wherever they take rows, a Subspace's basis
+matrix say, and then read its kept kernel form, so a basis is never boxed
+into field elements and converted back.  ``RightComplement(X, u)`` is the
+complement of one vector, {y : u X y^T = 0}, in its reduced echelon basis:
+X on it is one rank-one update of the kernel form of X, O(m^2), and its
+coordinates map back in O(m) per row, so the triangular bases of
+``factor`` run no matrix product.
 """
 
 from __future__ import annotations
@@ -108,12 +115,16 @@ def _kernel_scalar(field, c):
 
 
 def _canonical(field, A, d):
-    """The kernel form of the matrix A / d, for any ints A and d > 0: over Q
-    with the common gcd of d and A divided out, over F_p (where d is 1)
-    with A reduced mod p.  It is unique, so it decides equality."""
+    """The kernel form of the matrix A / d, for any ints A and d > 0 (over
+    F_p, d prime to p): over Q with the common gcd of d and A divided out,
+    over F_p with A times the inverse of d reduced mod p and d = 1.  It is
+    unique, so it decides equality."""
     if isinstance(field, PrimeField):
         p = field.p
-        return [[x % p for x in row] for row in A], 1
+        if d == 1:
+            return [[x % p for x in row] for row in A], 1
+        s = pow(d, -1, p)
+        return [[x * s % p for x in row] for row in A], 1
     if d == 1:
         return A, d
     g = gcd(d, *itertools.chain.from_iterable(A))
@@ -623,18 +634,98 @@ def inertia_counts(S):
     return _inertia_int(S._int_form()[0])
 
 
+def _as_matrix(field, rows, cols):
+    """rows as a Matrix: a Matrix itself, whose kept kernel form is then
+    read, or rows of scalars of length cols."""
+    return rows if isinstance(rows, Matrix) else Matrix(field, rows, cols=cols)
+
+
 def restrict_bilinear(X, rows):
     """Matrix C X C^T of the form X on the coordinate rows C (a Matrix, or
     rows of scalars)."""
-    C = rows if isinstance(rows, Matrix) else Matrix(X.field, rows, cols=X.rows)
+    C = _as_matrix(X.field, rows, X.rows)
     return C @ X @ C.transpose()
 
 
 def combine(field, coords, rows, ncols):
     """The rows of C B, with C the coordinate rows coords and B the rows
-    (each of length ncols), as a tuple of tuples of field elements."""
-    C = Matrix(field, coords, cols=len(rows))
-    return (C @ Matrix(field, rows, cols=ncols)).entries
+    (each of length ncols), as a tuple of tuples of field elements.  Either
+    may be a Matrix, a basis matrix say, whose kernel form is read as kept."""
+    B = _as_matrix(field, rows, ncols)
+    return (_as_matrix(field, coords, B.rows) @ B).entries
+
+
+class RightComplement:
+    """The right complement {y : u X y^T = 0} of a coordinate vector u in its
+    reduced echelon basis, and the form X on it, by one rank-one update.
+
+    With w = u X (nonzero) and q the last index with w_q != 0, the basis
+    rows are r_a = e_(j_a) - c_(j_a) e_q for the indices j_a != q in order,
+    c = w / w_q, kept in kernel form (C, e) with C[q] = e: over Q with the
+    gcd divided out, over F_p times the inverse of w_q, so e = 1.  On the
+    kernel form (A, d) of X the restricted form ``form`` is
+
+        X_R[a][b] = X[j_a][j_b] - c_(j_b) X[j_a][q] - c_(j_a) X[q][j_b]
+                    + c_(j_a) c_(j_b) X[q][q],
+
+    that is e^2 d X_R = e^2 A[j_a][j_b] - e A[j_a][q] C[j_b] - C[j_a] g_b
+    with g_b = e A[q][j_b] - C[j_b] A[q][q], O(m^2) integer work in place of
+    the product R X R^T.  A row y of coordinates on the complement maps
+    back to y R in O(m): y at the j_a and -sum_a y_a c_(j_a) at q.
+    """
+
+    __slots__ = ("field", "q", "C", "e", "form")
+
+    def __init__(self, X, u):
+        field, m = X.field, X.rows
+        A, d = X._int_form()
+        iu = _kernel_vector(field, tuple(map(field, u)))[0]
+        w = [0] * m
+        for x, row in zip(iu, A):
+            if x:
+                w = [s + x * y for s, y in zip(w, row)]
+        (w,), _ = _canonical(field, [w], 1)
+        q = max(j for j, x in enumerate(w) if x)
+        if w[q] < 0:
+            w = [-x for x in w]
+        (C,), e = _canonical(field, [w], w[q])
+        self.field, self.q, self.C, self.e = field, q, C, e
+        Cq, Aq, aqq = C[:q] + C[q + 1:], A[q], A[q][q]
+        g = [e * x - c * aqq for x, c in zip(Aq[:q] + Aq[q + 1:], Cq)]
+        e2 = e * e
+        rows = []
+        for row, t in zip(A[:q] + A[q + 1:], Cq):
+            s = e * row[q]
+            rows.append([e2 * x - s * c - t * y for x, c, y in zip(row[:q] + row[q + 1:], Cq, g)])
+        self.form = Matrix._of_int(field, *_canonical(field, rows, d * e2), m - 1)
+
+    def rows(self):
+        """The basis rows r_a, as tuples of field elements."""
+        q, C, e = self.q, self.C, self.e
+        out = []
+        for j in range(len(C)):
+            if j != q:
+                r = [0] * len(C)
+                r[j], r[q] = e, -C[j]
+                out.append(_field_vector(self.field, r, e))
+        return tuple(out)
+
+    def lift(self, u, Y):
+        """The Matrix with first row u, then y R for each row y of Y, a
+        Matrix of coordinate rows on the complement."""
+        field, q, C, e = self.field, self.q, self.C, self.e
+        B, D = Y._int_form()
+        Cq = C[:q] + C[q + 1:]
+        iu, du = _kernel_vector(field, tuple(map(field, u)))
+        eD = e * D
+        L = lcm(eD, du)
+        s, t = L // du, L // eD
+        rows = [[s * x for x in iu]]
+        for y in B:
+            z = [t * e * x for x in y]
+            z.insert(q, -t * sum(map(mul, y, Cq)))
+            rows.append(z)
+        return Matrix._of_int(field, *_canonical(field, rows, L), len(C))
 
 
 # ---------------------------------------------------------------------------
@@ -781,22 +872,29 @@ def solve(A, b):
 
 
 def solve_all(A, vectors):
-    """Particular solutions x_j of A x_j = b_j, one for each b_j in vectors,
-    from one elimination of [A | b_1 ... b_k]; None when some b_j has none.
-    Free variables are set to zero, so each x_j is the one solve(A, b_j)
-    returns."""
+    """Particular solutions x_j of A x_j = b_j, one for each b_j in vectors
+    (rows of scalars, or the rows of a Matrix, whose kernel form is read as
+    kept), from one elimination of [A | b_1 ... b_k]; None when some b_j has
+    none.  Free variables are set to zero, so each x_j is the one
+    solve(A, b_j) returns."""
     field = A.field
-    vectors = [tuple(map(field, b)) for b in vectors]
-    for b in vectors:
-        if len(b) != A.rows:
-            raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
-    if not vectors:
+    if isinstance(vectors, Matrix):
+        V, e = vectors._int_form()
+        if V and vectors.cols != A.rows:
+            raise DimensionMismatch("rhs of length %d against %d rows" % (vectors.cols, A.rows))
+    else:
+        vectors = [tuple(map(field, b)) for b in vectors]
+        for b in vectors:
+            if len(b) != A.rows:
+                raise DimensionMismatch("rhs of length %d against %d rows" % (len(b), A.rows))
+        V, e = _kernel_form(field, vectors)
+    if not V:
         return []
-    n, k = A.cols, len(vectors)
+    n, k = A.cols, len(V)
     # row i of [A | b_1 ... b_k] times d e: rows scale freely
     M, d = A._int_form()
-    R, e = _kernel_form(field, list(zip(*vectors)))
-    aug = [[e * x for x in row] + [d * y for y in rhs] for row, rhs in zip(M, R)]
+    aug = [[e * x for x in row] + [d * y for y in rhs]
+           for row, rhs in zip(M, _transposed(V, A.rows))]
     reduced, pivots = _rref(field, aug, n + k)
     if pivots and pivots[-1] >= n:
         return None
@@ -998,4 +1096,4 @@ def enumerate_subspaces(of_space, cap=DEFAULT_SUBSPACE_CAP):
                     rows[i][p] = field.one
                 for (i, c), val in zip(free_positions, assignment):
                     rows[i][c] = val
-                yield Subspace(field, amb, combine(field, rows, of_space.basis, amb))
+                yield Subspace(field, amb, combine(field, rows, of_space.basis_matrix(), amb))

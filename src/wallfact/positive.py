@@ -6,10 +6,11 @@ isometries factor into positive reflections, with length dim Mov(f) exactly
 when Mov(f) is positive definite or f is a non-involution whose moved space
 contains a positive vector; otherwise two extra reflections are needed.
 
-Positive bases start from ``factor.triangular_rows`` at the first positive
-vector of ``factor.small_vectors``, with two first-level arguments: the
-LLL-reduced complement and the repair scalar chi(v, u) (1 if it vanishes),
-which keeps the first square positive.  ``_positive_route`` is the one rule
+Positive bases start with one ``factor.triangular_step`` at the first
+positive vector of ``factor.small_vectors``, with the LLL-reduced complement
+and the repair scalar chi(v, u) (1 if it vanishes), which keeps the first
+square positive; ``factor.triangular_rows`` completes the basis on the form
+on that complement.  ``_positive_route`` is the one rule
 behind both the route of a positive factorization and its length.
 
 The constructive core: a triangular basis of chi consisting of positive
@@ -151,8 +152,9 @@ def _positive_repair(X, u, v):
 def basis_with_one_positive_vector(X):
     """Triangular basis whose first vector has positive square.
 
-    ``factor.triangular_rows`` from a positive small vector, with the
-    LLL-reduced complement and the positive repair at the first level.
+    One ``factor.triangular_step`` from a positive vector, with the
+    LLL-reduced complement and the positive repair, then
+    ``factor.triangular_rows`` on the form on that complement.
     """
     if not X.field.is_ordered:
         raise TypeError("positive bases need an ordered field")
@@ -163,7 +165,10 @@ def basis_with_one_positive_vector(X):
     u = positive_vector_for(X)
     if u is None:
         raise NoPositiveVector("chi(u, u) <= 0 on the whole space")
-    return triangular_rows(X, u, reduced_right_complement_rows, _positive_repair)
+    if X.rows == 1:
+        return [u]
+    u, R, XR, wit = triangular_step(X, u, reduced_right_complement_rows, _positive_repair)
+    return [u, *combine(X.field, triangular_rows(XR, wit), R, X.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +489,16 @@ def positive_factorization(f) -> Factorization:
     field, n = space.field, space.dim
     wd = wall_form(f)
     if route == "definite":
-        vectors = combine(field, triangular_basis(wd.chi), wd.subspace.basis, n)
+        vectors = combine(field, triangular_basis(wd.chi), wd.basis, n)
     elif route == "positive_basis":
-        vectors = combine(field, positive_basis(wd.chi), wd.subspace.basis, n)
+        vectors = combine(field, positive_basis(wd.chi), wd.basis, n)
     elif route == "prepend":
         v = _positive_vector_outside_fix(f)
         wg = wall_form(space.reflection(v) @ f)
         _certify(not wg.is_symmetric(), "a non-fixed direction forces non-symmetry")
-        vectors = (v, *combine(field, positive_basis(wg.chi), wg.subspace.basis, n))
+        vectors = (v, *combine(field, positive_basis(wg.chi), wg.basis, n))
     else:
-        (u,) = combine(field, [positive_vector_for(wd.chi)], wd.subspace.basis, n)
+        (u,) = combine(field, [positive_vector_for(wd.chi)], wd.basis, n)
         vectors = (u, *positive_factorization(space.reflection(u) @ f).vectors)
     fact = Factorization(space, vectors, target=f)
     if not fact.is_positive():

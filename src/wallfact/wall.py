@@ -68,7 +68,7 @@ class WallData:
     makes WallData equality meaningful: equal isometries give equal
     WallData.  Vectors of Mov(f) enter the coordinate layer through
     ``coordinates_of``; coordinate rows go back to ambient vectors through
-    ``linalg.combine`` with the basis rows.
+    ``linalg.combine`` with the basis matrix.
     """
 
     __slots__ = ("space", "subspace", "chi")
@@ -103,8 +103,8 @@ class WallData:
     def _complement(self, U, X):
         """{v in Mov : u X v^T = 0 for all u in U}, as an ambient Subspace."""
         field, n = self.space.field, self.space.dim
-        coords = kernel(self._coord_rows(U.basis) @ X).basis
-        return Subspace(field, n, combine(field, coords, self.subspace.basis, n))
+        coords = kernel(self._coord_rows(U.basis) @ X).basis_matrix()
+        return Subspace(field, n, combine(field, coords, self.basis, n))
 
     def right_complement(self, U):
         """{v in Mov : chi(u, v) = 0 for all u in U}."""
@@ -156,7 +156,7 @@ def wall_form(f) -> WallData:
     space = f.space
     D = _displacement(f)
     mov = image(D)
-    witnesses = solve_all(D, mov.basis)
+    witnesses = solve_all(D, mov.basis_matrix())
     if witnesses is None:
         raise CertificateError("moved-space vector outside the displacement image")
     W = Matrix._of(space.field, tuple(witnesses), space.dim)

@@ -244,6 +244,38 @@ class TestExitCodes:
         code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"])
         assert code == 1 and out["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("reflections", [5, "1 0 0", {"0": ["1", "0", "0"]}, None])
+    def test_reflections_must_be_a_list(self, tmp_path, capsys, lorentz_files, reflections):
+        form, boost = lorentz_files
+        fact = write(tmp_path, "f.json", {"reflections": reflections})
+        code, out = run(capsys, ["verify", "--form", form, "--isometry", boost,
+                                 "--factorization", fact])
+        assert code == 2 and out["error"] == "malformed_input"
+
+    @pytest.mark.parametrize("argv, env", [(["--cap", "0"], None), (["--cap", "-3"], None),
+                                           ([], "0"), ([], "-1")])
+    def test_cap_below_one_is_malformed_input(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("WALLFACT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("WALLFACT_CAP", env)
+        code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"] + argv)
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "at least 1" in out["detail"]
+
+    @pytest.mark.parametrize("command", ["oracle", "interval"])
+    def test_cap_of_one_is_applied(self, capsys, monkeypatch, f3_files, command):
+        # O(2, F_3) has 8 elements, and Mov of the rotation, all of F_3^2, 6 subspaces
+        monkeypatch.delenv("WALLFACT_CAP", raising=False)
+        form, rot, _ = f3_files
+        argv = (["oracle", "--field", "3", "--dim", "2"] if command == "oracle"
+                else ["interval", "--form", form, "--isometry", rot])
+        code, out = run(capsys, argv + ["--cap", "1"])
+        assert code == 1 and out["error"] == "TooLarge"
+        monkeypatch.setenv("WALLFACT_CAP", "1")
+        code, out = run(capsys, argv)
+        assert code == 1 and out["error"] == "TooLarge"
+
     def test_failed_certificate_is_internal_fault(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Factorization, "is_positive", lambda self: False)
         form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})

@@ -13,8 +13,9 @@ from wallfact import (AlternatingForm, DegenerateRestriction, Factorization,
                       diagonal_space, is_minimal, isometry_from_wall,
                       minimal_factorization, moved_space, reflection_distance,
                       reflection_length, spinor_norm, split, triangular_basis, wall_form)
-from wallfact.factor import (CertificateError, ProductMismatch, bilinear_value,
-                             nonsingular_vector)
+from wallfact.factor import (CertificateError, ProductMismatch, bilinear_value, form_row,
+                             nonsingular_vector, right_complement_rows)
+from wallfact.linalg import RightComplement, combine, kernel, restrict_bilinear
 from tests.conftest import random_isometry
 
 
@@ -433,6 +434,24 @@ chi = linalg.Matrix(QQ, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
 expect_certificate_error("_positive_basis_rec", lambda: positive.positive_basis(chi))
 positive.restrict_bilinear = real_restrict
 
+# triangular_rows: the start vector is found, then every complement looks
+# alternating, so the repair cannot end
+real_witness = factor.nonalternating_witness
+witness_calls = []
+
+
+def first_witness_only(X):
+    witness_calls.append(X)
+    return real_witness(X) if len(witness_calls) == 1 else None
+
+
+factor.nonalternating_witness = first_witness_only
+expect_certificate_error("triangular_rows",
+                         lambda: factor.triangular_basis(linalg.Matrix.diagonal(QQ, [1, 2, 3])))
+factor.nonalternating_witness = real_witness
+if len(witness_calls) != 3:
+    raise SystemExit("triangular_rows: %d witness calls, not 3" % len(witness_calls))
+
 # Factorization: the word is a valid one for another isometry, so the
 # rank-one certificate must reject it
 try:
@@ -582,3 +601,145 @@ class TestInternalChecksRaise:
         monkeypatch.setattr(factor_mod, "small_vectors", lambda X: iter(()))
         with pytest.raises(CertificateError):
             nonsingular_vector(diagonal_space(QQ, [1, -1]))
+
+
+def reference_triangular_rows(X, u, repairs):
+    """The per-level construction that the rank-one levels replace: the
+    reduced echelon basis R of the right complement of u as a kernel, the
+    form R X R^T on it by matrix products, and the rows found below mapped
+    back as the rows of C R.  Appends the size of X to repairs whenever the
+    repair step runs."""
+    field, m = X.field, X.rows
+    if m == 1:
+        return [tuple(u)]
+    for _attempt in range(2):
+        R = kernel(Matrix(field, [form_row(X, u)])).basis
+        XR = restrict_bilinear(X, R)
+        wit = reference_nonalternating_witness(XR)
+        if wit is not None:
+            return [tuple(u), *combine(field, reference_triangular_rows(XR, wit, repairs), R, m)]
+        repairs.append(m)
+        v = next((r for r in R if bilinear_value(X, r, u)), R[0])
+        uu, vu = bilinear_value(X, u, u), bilinear_value(X, v, u)
+        scalars = [field(c) for c in ((1, -1, 2) if field is QQ else range(1, field.p))]
+        a = next(c for c in scalars if uu + c * vu)
+        u = tuple(x + a * y for x, y in zip(u, v))
+    raise AssertionError("the reference repair did not terminate")
+
+
+def random_entry(field, rng):
+    if field is QQ:
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+    return rng.randrange(field.p)
+
+
+def repair_form(field, rng, r, k):
+    """[[L, 0], [*, J]]: L lower triangular r x r with a nonzero diagonal, J a
+    non-degenerate alternating k x k block (k even), * random.  Each of the
+    first r levels starts at e_1 and splits it off, so the last of them meets
+    the alternating complement J and repairs."""
+    m = r + k
+    while True:
+        J = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                J[i][j] = random_entry(field, rng)
+                J[j][i] = -J[i][j]
+        if Matrix(field, J).det():
+            break
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            if i < r and j > i:
+                row.append(0)
+            elif i == j and i < r:
+                row.append(rng.choice([1, 2, -1]) if field is QQ else rng.randrange(1, field.p))
+            elif i >= r and j >= r:
+                row.append(J[i - r][j - r])
+            else:
+                row.append(random_entry(field, rng))
+        rows.append(row)
+    return Matrix(field, rows)
+
+
+class TestRankOneLevels:
+    """The rank-one levels of triangular_rows against the per-level
+    construction they replace, row for row."""
+
+    FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7)]
+
+    def forms(self):
+        rng = random.Random(2828)
+        for field in self.FIELDS:
+            for m in range(1, 10):
+                found = 0
+                while found < 4:
+                    X = Matrix(field, [[random_entry(field, rng) for _ in range(m)]
+                                       for _ in range(m)])
+                    if X.det() and reference_nonalternating_witness(X) is not None:
+                        found += 1
+                        yield X
+            for m in range(3, 10):
+                for k in range(2, m, 2):
+                    yield repair_form(field, rng, m - k, k)
+
+    def test_against_the_per_level_construction(self):
+        repairs, cases = [], 0
+        for X in self.forms():
+            u = reference_nonalternating_witness(X)
+            rows = triangular_basis(X)
+            assert rows == reference_triangular_rows(X, u, repairs)
+            check_triangular(X, rows)
+            if X.rows > 1:
+                R = kernel(Matrix(X.field, [form_row(X, u)])).basis
+                level = RightComplement(X, u)
+                assert level.rows() == R == right_complement_rows(X, u)
+                assert level.form == restrict_bilinear(X, R)
+            cases += 1
+        assert cases >= 4 * 9 * 4
+        assert len(repairs) >= 20, len(repairs)
+
+    def test_scales_are_exact(self):
+        # the rows come back as the field elements of the reference, scale
+        # included, and their entries as Fractions over Q
+        X = Matrix(QQ, [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 0, 5], [1, Fraction(7, 4), -2]])
+        rows = triangular_basis(X)
+        assert rows == reference_triangular_rows(X, (1, 0, 0), [])
+        assert all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestNoProductsInTriangularBases:
+    """A triangular basis runs no matrix product, restriction or row
+    combination, and a minimal factorization never boxes the basis of the
+    moved space it combines with."""
+
+    def test_no_products(self, monkeypatch):
+        import wallfact.factor as factor_mod
+        from wallfact import linalg
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted("matmul", Matrix.__matmul__))
+        for module in (linalg, factor_mod):
+            for name in ("restrict_bilinear", "combine"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rng = random.Random(2829)
+        forms = [repair_form(QQ, rng, 2, 4), repair_form(PrimeField(5), rng, 3, 2),
+                 Matrix(QQ, [[random_entry(QQ, rng) for _ in range(7)] for _ in range(7)])]
+        for X in forms:
+            triangular_basis(X)
+        assert calls == []
+
+    def test_the_moved_space_basis_stays_unboxed(self, rng):
+        space = diagonal_space(QQ, [1, 2, -1, 3, -2, 1])
+        for _ in range(5):
+            f = random_isometry(space, rng, 5)
+            fact = minimal_factorization(f)
+            assert fact.product() == f
+            assert wall_form(f).subspace.basis_matrix()._entries is None

@@ -208,6 +208,12 @@ class TestDebugFormats:
         from wallfact.jsonio import encode_subspace
         assert decode_subspace(encode_subspace(U), space) == U
 
+    @pytest.mark.parametrize("basis", [5, "1 0 1", {"0": ["1", "0", "1"]}, None])
+    def test_subspace_basis_must_be_a_list(self, basis):
+        # no subcommand reads a subspace, so the decoder itself is checked
+        with pytest.raises(InputError):
+            decode_subspace({"ambient_dim": 3, "basis": basis}, diagonal_space(QQ, [1, 1, -1]))
+
 
 class TestDecodeRational:
     """The one parser of rational scalars agrees with Fraction on every
