@@ -6,6 +6,11 @@ from a triangular basis of the Wall form: chi(e_i, e_i) != 0 with zeros
 above the diagonal peels f into reflections r_{e_1} ... r_{e_m} one split at
 a time.  In the totally singular case one auxiliary reflection is prepended
 first.  ``reflection_distance(g, h)`` = l(g^-1 h) is the one length rule.
+It reads m = dim im(g - h) off one forward elimination
+(``linalg.column_basis``), with the columns J of g - h that are a basis of
+the image, and builds no canonical basis.  A totally singular W lies in
+W^perp, so 2 dim W <= n for the non-degenerate form (the Witt bound): only
+when 2m <= n is the Gram matrix of the m columns J tested for zero.
 
 ``triangular_rows`` is the one triangular-basis routine: each level takes
 the right complement of its vector u in the reduced echelon basis
@@ -31,8 +36,8 @@ checked by that product, which computes each Q(v); without a target, by
 
 from __future__ import annotations
 
-from .linalg import (Matrix, RightComplement, bilinear_value, combine, image, reflection_product,
-                     restrict_bilinear, vec_add, vec_scale)
+from .linalg import (Matrix, RightComplement, bilinear_value, column_basis, combine,
+                     reflection_product, restrict_bilinear, vec_add, vec_scale)
 from .quadspace import Isometry, SingularVector
 from .wall import CertificateError, isometry_from_wall, moved_space, wall_form
 
@@ -238,13 +243,23 @@ def split(f, U1, side="right"):
 def reflection_distance(g, h) -> int:
     """l(g^-1 h), read from W = im(g - h) = g Mov(g^-1 h): the isometry g
     keeps dimension and total singularity, so it is dim W, or dim W + 2
-    when W != 0 is totally singular."""
-    if g.space != h.space:
+    when W != 0 is totally singular.
+
+    One forward elimination (``linalg.column_basis``) finds m = dim W and
+    the columns J of D = g - h that are a basis of W.  A totally singular W
+    lies in its orthogonal complement, so 2m <= n (the Witt bound); only
+    then is the Gram matrix of those m columns tested for zero.
+    """
+    space = g.space
+    if space != h.space:
         raise ValueError("isometries of different spaces")
-    W = image(g.matrix - h.matrix)
-    if W.dim and g.space.is_totally_singular(W):
-        return W.dim + 2
-    return W.dim
+    n = space.dim
+    D = g.matrix - h.matrix
+    J = column_basis(D)[0]
+    m = len(J)
+    if m and 2 * m <= n and space.gram_on(D.submatrix(range(n), J).transpose()).is_zero():
+        return m + 2
+    return m
 
 
 def reflection_length(f) -> int:

@@ -166,9 +166,15 @@ def encode_space(space):
 
 
 def decode_isometry(obj, space):
+    """An isometry file; a matrix that is not dim x dim for the space is
+    malformed input, like a ragged one."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise InputError("isometry file needs a 'matrix' key")
-    return Isometry(space, decode_matrix(obj["matrix"], space.field))
+    M = decode_matrix(obj["matrix"], space.field)
+    if M.rows != space.dim or M.cols != space.dim:
+        raise InputError("isometry matrix of shape %dx%d in dimension %d"
+                         % (M.rows, M.cols, space.dim))
+    return Isometry(space, M)
 
 
 def encode_isometry(f):
@@ -201,6 +207,9 @@ def decode_factorization(obj, space, target=None):
     if not isinstance(obj["reflections"], list):
         raise InputError("'reflections' must be a list of vectors")
     vectors = [decode_vector(v, space.field) for v in obj["reflections"]]
+    for v in vectors:
+        if len(v) != space.dim:
+            raise InputError("reflection vector of length %d in dimension %d" % (len(v), space.dim))
     if "length" in obj and obj["length"] != len(vectors):
         raise InputError("declared length does not match the reflection count")
     return Factorization(space, vectors, target=target)

@@ -22,10 +22,20 @@ product or a bilinear value is one int dot product over the product of the
 denominators.
 
 What differs by field is kept in two places.  The kernels that genuinely
-differ are dispatched once each: elimination (``_rref``: fraction-free
-Gauss-Jordan on primitive integer rows over Q, mod p over F_p), the
-determinant (``_det``: Bareiss over Q), the reflection word and the form
-check.  Outside them three small conversions differ: field elements to
+differ are dispatched once each: the two eliminations, the reflection word
+and the form check.  ``_rref`` is fraction-free Gauss-Jordan on primitive
+integer rows over Q and mod p over F_p; it gives canonical bases.
+``_forward`` is the one forward elimination, fraction-free Bareiss over Q
+and mod p over F_p, with no reduction above the pivots: it returns the
+origin indices J of the pivot rows, the pivot columns P and the signed
+pivot minor, +-det of the rows J and columns P.  The rows J are a basis of
+the row span, and P are the pivots of its reduced echelon basis, since any
+echelon form of a matrix has the pivots of its row span.  So
+``Matrix.rank`` is |J|, ``_det`` is the minor at full rank and 0 below it,
+and ``column_basis(A)``, the kernel on the rows of A^T, gives the columns J
+of A that are a basis of its column space, with the pivots P of
+``image(A)`` and det A[P][J] up to sign, from one elimination with no back
+substitution.  Outside them three small conversions differ: field elements to
 kernel form, the canonical form, and kernel scalars back to field elements.
 ``_rref`` returns canonical rows (primitive with a positive pivot entry over
 Q, pivot entry 1 over F_p), and ``_echelon_form`` turns them into the kernel
@@ -193,13 +203,28 @@ def _null_rows(field, rows, ncols):
     return _canonical(field, null, 1)[0]
 
 
+def _forward(field, rows, ncols):
+    """Forward elimination of a list of rows of kernel scalars: (J, P, minor).
+
+    J lists the origin indices of the pivot rows, in the order they were
+    taken, so the rows J are a basis of the row span; P is the increasing
+    list of pivot columns, the pivots of the reduced echelon basis of that
+    span; and minor is the signed pivot minor: +-det of the rows J and
+    columns P of the input, and det of the input when it is square of full
+    rank.  Over Q it is fraction-free Bareiss elimination, whose last pivot
+    is that minor, over F_p elimination mod p.  The input rows are read,
+    never modified.
+    """
+    if isinstance(field, PrimeField):
+        return _forward_mod(rows, ncols, field.p)
+    return _forward_int(rows, ncols)
+
+
 def _det(field, rows):
     """The determinant of a square matrix of kernel rows, as a kernel
-    scalar; the rows are read, never modified."""
-    work = [row[:] for row in rows]
-    if isinstance(field, PrimeField):
-        return _det_mod(work, field.p)
-    return _det_int(work)
+    scalar: the pivot minor of ``_forward`` at full rank, else 0."""
+    J, _, minor = _forward(field, rows, len(rows))
+    return minor if len(J) == len(rows) else 0
 
 
 def _pivot_row(work, r, c):
@@ -272,27 +297,41 @@ def _rref_int(rows, ncols):
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
 
 
-def _det_int(work):
-    """The determinant of a square matrix of integer rows, by Bareiss
-    elimination; the rows are overwritten."""
-    n = len(work)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot_row = _pivot_row(work, c, c)
+def _forward_int(rows, ncols):
+    """Bareiss elimination with column skipping on integer rows.  After the
+    pivot p of column c, each row i below holds (p x - t y) / prev on the
+    columns past c, t its entry in column c, y the pivot row and prev the
+    pivot before: a minor of the input, so the division is exact, and the
+    last pivot is the minor of the pivot rows and columns."""
+    work = [row[:] for row in rows]
+    order = list(range(len(work)))
+    nrows = len(work)
+    pivots = []
+    sign = prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = _pivot_row(work, r, c)
         if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
             sign = -sign
-        p = work[c][c]
-        ptail = work[c][c + 1:]
-        for i in range(c + 1, n):
+        p = work[r][c]
+        ptail = work[r][c + 1:]
+        for i in range(r + 1, nrows):
             row = work[i]
             t = row[c]
-            row[c + 1:] = [(p * x - t * y) // prev for x, y in zip(row[c + 1:], ptail)]
+            if t:
+                row[c + 1:] = [(p * x - t * y) // prev for x, y in zip(row[c + 1:], ptail)]
+            elif p != prev:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+        pivots.append(c)
         prev = p
-    return sign * prev
+        r += 1
+    return order[:r], pivots, sign * prev
 
 
 def _inertia_int(G):
@@ -363,26 +402,36 @@ def _rref_mod(rows, ncols, p):
     return work[:r], pivots
 
 
-def _det_mod(work, p):
-    n = len(work)
-    det = 1
-    for c in range(n):
-        pivot_row = _pivot_row(work, c, c)
+def _forward_mod(rows, ncols, p):
+    """Elimination mod p; the minor is the signed product of the pivots."""
+    work = [row[:] for row in rows]
+    order = list(range(len(work)))
+    nrows = len(work)
+    pivots = []
+    minor = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = _pivot_row(work, r, c)
         if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        pivot = work[c][c]
-        det = det * pivot % p
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
+            minor = -minor
+        pivot = work[r][c]
+        minor = minor * pivot % p
         inv = pow(pivot, p - 2, p)
-        tail = work[c][c:]
-        for i in range(c + 1, n):
-            if work[i][c]:
-                t = work[i][c] * inv % p
-                row = work[i]
-                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], tail)]
-    return det
+        tail = work[r][c + 1:]
+        for i in range(r + 1, nrows):
+            row = work[i]
+            if row[c]:
+                t = row[c] * inv % p
+                row[c + 1:] = [(x - t * y) % p for x, y in zip(row[c + 1:], tail)]
+        pivots.append(c)
+        r += 1
+    return order[:r], pivots, minor
 
 
 def _check_same_field(a, b):
@@ -499,6 +548,14 @@ class Matrix:
     def col(self, j):
         return tuple(row[j] for row in self.entries)
 
+    def submatrix(self, rows, cols):
+        """The matrix of the entries in the given rows and columns, in the
+        order given."""
+        field = self.field
+        A, d = self._int_form()
+        sub = [[A[i][j] for j in cols] for i in rows]
+        return Matrix._of_int(field, *_canonical(field, sub, d), len(cols))
+
     def transpose(self):
         A, d = self._int_form()
         return Matrix._of_int(self.field, _transposed(A, self.cols), d, self.rows)
@@ -567,7 +624,7 @@ class Matrix:
         return R, tuple(pivots)
 
     def rank(self):
-        return len(_rref(self.field, self._int_form()[0], self.cols)[1])
+        return len(_forward(self.field, self._int_form()[0], self.cols)[0])
 
     def det(self):
         if self.rows != self.cols:
@@ -914,6 +971,18 @@ def kernel(A):
 def image(A):
     """The column space of A as a Subspace."""
     return Subspace._span(A.field, A.rows, _transposed(A._int_form()[0], A.cols))
+
+
+def column_basis(A):
+    """(J, P, minor) for the columns of A: the columns J, in the order
+    found, are a basis of the column space, P are the pivots of the
+    canonical basis of ``image(A)``, and minor = +-det A[P][J], a field
+    element.  It is ``_forward`` run on the rows of A^T, one elimination
+    with no back substitution."""
+    field = A.field
+    M, d = A._int_form()
+    J, P, minor = _forward(field, _transposed(M, A.cols), A.rows)
+    return J, P, _field_vector(field, (minor,), d ** len(J))[0]
 
 
 def rank(A):

@@ -13,7 +13,8 @@ bijection of F_p^n.  So an element is the tuple of its n column codes (a
 column as a base-p integer), r g is n lookups in a table of r's action on
 codes, filled as columns are met, and word lengths are keyed by code
 tuples.  The length formula is checked on the int residues of the columns,
-and the census cache (format 3) stores the codes.  Boxed ``Isometry``
+with dim Mov(g) read off one forward elimination mod p
+(``linalg._forward``), and the census cache (format 3) stores the codes.  Boxed ``Isometry``
 objects are built once per element, only when a caller asks for
 ``GroupCensus.elements``, and the reflections on first use of
 ``GroupCensus.reflections``.
@@ -27,8 +28,8 @@ from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (Matrix, TooLarge, _is_symmetric, _preserves_form_mod,
-                     _reflection_product_mod, _rref_mod, projective_points)
+from .linalg import (Matrix, TooLarge, _forward, _is_symmetric, _preserves_form_mod,
+                     _reflection_product_mod, projective_points)
 from .order import admissible_subspaces, less_equal
 from .quadspace import Isometry, NotIsometry
 from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
@@ -248,7 +249,8 @@ def verify_length_formula(census) -> VerificationReport:
     for every element g, on the int residues of its columns.
 
     Mov(g) = im(g - I), so dim Mov(g) = rank(g - I), the rank of the n rows
-    g e_j - e_j: one ``_rref_mod`` elimination per element.
+    g e_j - e_j: one forward elimination mod p (``linalg._forward``) per
+    element, which counts the pivots without reducing above them.
 
     Mov(g) is totally singular when Q vanishes on it, that is (char != 2)
     when the polar form does: (g - I)^T S (g - I) = 0.  As g^T S g = S,
@@ -279,7 +281,7 @@ def verify_length_formula(census) -> VerificationReport:
                                        [[(x - (i == j)) % p for i, x in enumerate(v)]
                                         for j in range(n)])
             cols.append(col)
-        dim = len(_rref_mod([col[1][j] for j, col in enumerate(cols)], n, p)[0])
+        dim = len(_forward(space.field, [col[1][j] for j, col in enumerate(cols)], n)[0])
         if not dim:
             expected = 0
         elif all((cols[j][0][i] + cols[i][0][j] - twice_s[i][j]) % p == 0 for i, j in upper):

@@ -7,14 +7,29 @@ non-degenerate and chi(u, u) = Q(u) on W determines a unique isometry; the
 construction inverts one m x m matrix and is implemented in closed form as
 F = I - U^T X^-T U B for a row basis U of W.
 
-The spinor norm is the square class of det(chi_f) in any basis of Mov(f).
+The spinor norm is the square class of det(chi_f) in any basis of Mov(f)
+(Zassenhaus).  Both it and the Wall form start from one forward
+elimination of the displacement D = id - f (``linalg.column_basis``): the
+columns J of D that are a basis of Mov(f), and the pivots P of its
+canonical basis U.  The column D e_j is e_j - f(e_j), so e_j is its
+witness and chi on the basis (D e_j)_(j in J) is (B D)[J][J], B the polar
+matrix.  U is C (D[:, J])^T with C = (D[P][J]^T)^-1, because U[:, P] = I,
+so chi in U is C (B D)[J][J] C^T and
+
+    det chi_f = det (B D)[J][J] / det D[P][J]^2,
+
+the same rational as the determinant of the canonical Wall form, with no
+canonical basis built.  ``wall_form`` builds U as the reduced echelon
+basis of the m columns J (the whole space when m = n) and finds its
+witnesses on the m x m pivot block D[P][J] alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, combine, image, kernel, restrict_bilinear, solve_all
+from .linalg import (Matrix, Subspace, column_basis, combine, image, kernel, restrict_bilinear,
+                     solve_all)
 from .quadspace import Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
@@ -142,11 +157,17 @@ class WallData:
 def wall_form(f) -> WallData:
     """The Wall form of f on the canonical basis of Mov(f).
 
-    With the basis vectors u_i as the rows of U, one elimination of
-    [D | U^T] (D = id - f, the displacement) gives witnesses w_i with
-    u_i = w_i - f(w_i), as the rows of W; then chi = W B U^T, that is
-    chi[i][j] = beta(w_i, u_j), with B the polar matrix.  The result does
-    not depend on the choice of the w_i.
+    With D = id - f (the displacement), one forward elimination finds the
+    columns J of D that are a basis of Mov(f) = im(D) and the pivots P of
+    its canonical basis U (``linalg.column_basis``).  Mov(f) is the whole
+    space when |J| = n, else the span of the columns J.  A witness w_i
+    with u_i = w_i - f(w_i) is sought on the span of the e_j (j in J): D
+    on it is D[:, J], a basis of Mov(f), so w_i = sum_k y_ik e_(J_k) with
+    D[:, J] y_i = u_i, and the rows P decide y_i, since D[P][J] is
+    invertible.  So one elimination of the m x m pivot block against
+    U[:, P] gives the rows y_i of Y, and chi = W B U^T = Y B[J] U^T, that
+    is chi[i][j] = beta(w_i, u_j), with B the polar matrix.  The result
+    does not depend on the choice of the w_i.
 
     Isometries are immutable, so the result is kept in f's ``_wall`` slot
     and later calls return that same WallData.
@@ -154,13 +175,16 @@ def wall_form(f) -> WallData:
     if f._wall is not None:
         return f._wall
     space = f.space
+    field, n = space.field, space.dim
     D = _displacement(f)
-    mov = image(D)
-    witnesses = solve_all(D, mov.basis_matrix())
+    J, P, _ = column_basis(D)
+    mov = Subspace.full(field, n) if len(J) == n else image(D.submatrix(range(n), J))
+    U = mov.basis_matrix()
+    witnesses = solve_all(D.submatrix(P, J), U.submatrix(range(len(J)), P))
     if witnesses is None:
         raise CertificateError("moved-space vector outside the displacement image")
-    W = Matrix._of(space.field, tuple(witnesses), space.dim)
-    f._wall = WallData(space, mov, W @ space.polar_matrix @ mov.basis_matrix().transpose())
+    Y = Matrix._of(field, tuple(witnesses), len(J))
+    f._wall = WallData(space, mov, Y @ space.polar_matrix.submatrix(J, range(n)) @ U.transpose())
     return f._wall
 
 
@@ -208,11 +232,26 @@ def chi_left_complement(wd, U) -> Subspace:
 
 
 def spinor_norm(f):
-    """Square class of det(chi_f); the class of 1 for the identity."""
-    wd = wall_form(f)
-    if wd.dim == 0:
-        return f.space.field.square_class(f.space.field.one)
-    return f.space.field.square_class(wd.det())
+    """Square class of det(chi_f); the class of 1 for the identity.
+
+    It reads the kept Wall form when f has one.  Otherwise no canonical
+    basis is built: the columns D e_j (j in J, D = id - f) found by one
+    forward elimination (``linalg.column_basis``) are a basis of Mov(f)
+    with witnesses e_j, so chi on that basis is (B D)[J][J].  The canonical
+    basis is C (D[:, J])^T with C = (D[P][J]^T)^-1, so
+
+        det chi_f = det (B D)[J][J] / det D[P][J]^2,
+
+    the very rational that det of the canonical Wall form gives.  For the
+    identity J is empty and both determinants are 1.
+    """
+    space = f.space
+    if f._wall is not None:
+        return space.field.square_class(f._wall.det())
+    D = _displacement(f)
+    J, _, minor = column_basis(D)
+    chi = space.polar_matrix.submatrix(J, range(space.dim)) @ D.submatrix(range(space.dim), J)
+    return space.field.square_class(chi.det() / (minor * minor))
 
 
 @dataclass

@@ -232,6 +232,25 @@ class TestExitCodes:
         code, out = run(capsys, ["length", "--form", form, "--isometry", iso])
         assert code == 1 and out["error"] == "NotIsometry"
 
+    @pytest.mark.parametrize("command", ["length", "leq"])
+    def test_isometry_of_the_wrong_size_is_malformed_input(self, tmp_path, capsys, command):
+        form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})
+        big = write(tmp_path, "big.json", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        iso = write(tmp_path, "id.json", {"matrix": [[1, 0], [0, 1]]})
+        isometries = ["--isometry", big] + (["--isometry", iso] if command == "leq" else [])
+        code, out = run(capsys, [command, "--form", form] + isometries)
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "3x3 in dimension 2" in out["detail"]
+
+    def test_reflection_of_the_wrong_length_is_malformed_input(self, tmp_path, capsys):
+        form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})
+        iso = write(tmp_path, "r.json", {"matrix": [[-1, 0], [0, 1]]})
+        fact = write(tmp_path, "f.json", {"length": 1, "reflections": [["1", "0", "0"]]})
+        code, out = run(capsys, ["verify", "--form", form, "--isometry", iso,
+                                 "--factorization", fact])
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "length 3 in dimension 2" in out["detail"]
+
     def test_bad_cap_environment_value_is_malformed_input(self, capsys, monkeypatch):
         monkeypatch.setenv("WALLFACT_CAP", "abc")
         code, out = run(capsys, ["oracle", "--field", "3", "--dim", "2"])

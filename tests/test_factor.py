@@ -361,6 +361,12 @@ factor.isometry_from_wall = real_from_wall
 real_solve_all = wall.solve_all
 wall.solve_all = lambda A, vectors: None
 expect_certificate_error("wall_form", lambda: wall.wall_form(quadspace.Isometry(space, f.matrix)))
+# and on a moved space of dimension 2 in 3, solved on its 2 x 2 pivot block
+rank_two = space.reflection((1, 0, 0)) @ space.reflection((0, 1, 2))
+if linalg.column_basis(linalg.Matrix.identity(QQ, 3) - rank_two.matrix)[0] != [0, 1]:
+    raise SystemExit("wall_form pivot block: the moved space is not spanned by columns 0, 1")
+expect_certificate_error("wall_form pivot block",
+                         lambda: wall.wall_form(quadspace.Isometry(space, rank_two.matrix)))
 wall.solve_all = real_solve_all
 
 # positive_factorization: the positivity check of the result fails

@@ -150,6 +150,13 @@ class TestIsometriesAndVectors:
         f = space.reflection((1, 0))
         assert decode_isometry(encode_isometry(f), space) == f
 
+    @pytest.mark.parametrize("matrix", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0]], [],
+                                        [[1, 0, 0], [0, 1, 0]]])
+    def test_isometry_shape_must_match_the_space(self, matrix):
+        space = diagonal_space(QQ, [1, -1])
+        with pytest.raises(InputError, match="in dimension 2"):
+            decode_isometry({"matrix": matrix}, space)
+
     def test_vector_round_trip(self):
         v = (Fraction(1, 2), Fraction(-3))
         assert decode_vector(encode_vector(v), QQ) == v
@@ -186,6 +193,12 @@ class TestFactorizations:
         space = diagonal_space(QQ, [1, 1])
         assert projective_normalize(space, (Fraction(0), Fraction(3))) == (0, 1)
         assert projective_normalize(space, (Fraction(2), Fraction(4))) == (1, 2)
+
+    @pytest.mark.parametrize("vector", [["1", "0", "0"], ["1"], []])
+    def test_vector_length_must_match_the_space(self, vector):
+        space = diagonal_space(QQ, [1, 1])
+        with pytest.raises(InputError, match="in dimension 2"):
+            decode_factorization({"reflections": [["1", "1"], vector]}, space)
 
     def test_length_mismatch_rejected(self):
         space = diagonal_space(QQ, [1, 1])

@@ -482,3 +482,131 @@ class TestSubspaceForm:
         assert Subspace.zero(f3, 2) != Subspace.zero(f3, 3)
         assert Subspace.zero(QQ, 2) != Subspace.zero(QQ, 3)
         assert Matrix.zeros(QQ, 0, 2) != Matrix.zeros(QQ, 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the forward kernel: rank, column bases and determinants from one elimination
+
+def reference_det_int(rows):
+    """Bareiss determinant of a square integer matrix, stopping at the first
+    column without a pivot: the reference for ``_det`` over Q."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    sign = prev = 1
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            sign = -sign
+        p = work[c][c]
+        ptail = work[c][c + 1:]
+        for i in range(c + 1, n):
+            row = work[i]
+            t = row[c]
+            row[c + 1:] = [(p * x - t * y) // prev for x, y in zip(row[c + 1:], ptail)]
+        prev = p
+    return sign * prev
+
+
+def reference_det_mod(rows, p):
+    """Determinant mod p by elimination with inverses, stopping at the first
+    column without a pivot: the reference for ``_det`` over F_p."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = 1
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        pivot = work[c][c]
+        det = det * pivot % p
+        inv = pow(pivot, p - 2, p)
+        tail = work[c][c:]
+        for i in range(c + 1, n):
+            if work[i][c]:
+                t = work[i][c] * inv % p
+                work[i][c:] = [(x - t * y) % p for x, y in zip(work[i][c:], tail)]
+    return det
+
+
+def kernel_matrices(field, rng):
+    """Seeded matrices up to 9 x 12: zero, full rank, and rank-deficient ones
+    made as products of thin factors (rows x k times k x cols, k small)."""
+    out = []
+    for rows in range(1, 10):
+        for cols in range(1, 13):
+            out.append(Matrix.zeros(field, rows, cols))
+            out.append(random_matrix(field, rng, rows, cols, bound=9))
+            k = rng.randint(1, max(1, min(rows, cols) - 1))
+            out.append(random_matrix(field, rng, rows, k) @ random_matrix(field, rng, k, cols))
+    for n in range(1, 10):
+        out.append(random_invertible(field, rng, n))
+        k = rng.randint(1, n)
+        out.append(random_matrix(field, rng, n, k) @ random_matrix(field, rng, k, n))
+    return out
+
+
+class TestForwardKernel:
+    FIELDS = (QQ, PrimeField(3), PrimeField(5), PrimeField(7))
+
+    @pytest.fixture(params=FIELDS, ids=str)
+    def matrices(self, request):
+        field = request.param
+        return field, kernel_matrices(field, random.Random(4409 + getattr(field, "p", 0)))
+
+    def test_column_basis_against_the_image(self, matrices):
+        field, Ms = matrices
+        deficient = 0
+        for A in Ms:
+            J, P, minor = linalg.column_basis(A)
+            img = image(A)
+            assert len(J) == len(set(J)) == img.dim == A.rank() == len(A.rref()[1])
+            assert tuple(P) == img.basis_matrix().rref()[1] == A.transpose().rref()[1]
+            cols = A.submatrix(range(A.rows), J)
+            assert cols.rank() == len(J) and image(cols) == img
+            block = A.submatrix(P, J)
+            assert minor in (block.det(), -block.det()) and block.det()
+            deficient += 0 < len(J) < min(A.rows, A.cols)
+        assert deficient >= 40
+
+    def test_det_against_the_reference_kernels(self, matrices):
+        field, Ms = matrices
+        singular = 0
+        for A in Ms:
+            if A.rows != A.cols:
+                continue
+            rows, d = A._int_form()
+            if field is QQ:
+                expected = reference_det_int(rows)
+                assert linalg._det(field, rows) == expected
+                assert A.det() == Fraction(expected, d ** A.rows)
+            else:
+                expected = reference_det_mod(rows, field.p)
+                assert linalg._det(field, rows) % field.p == expected
+                assert A.det() == field(expected)
+            singular += not expected
+        assert singular >= 9
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_pivot_rows_and_columns(self, field):
+        rows = [[0, 0, 0, 0], [0, 2, 1, 1], [0, 4, 2, 2], [1, 0, 0, 1], [0, 0, 0, 3]]
+        copy = [row[:] for row in rows]
+        J, P, minor = linalg._forward(field, rows, 4)
+        assert rows == copy
+        # column 0 is taken from row 3, column 1 from row 1; row 2 is twice row 1
+        assert (J, P) == ([3, 1, 4], [0, 1, 3])
+        block = Matrix(field, [[rows[i][j] for j in P] for i in J])
+        assert field(minor) in (block.det(), -block.det())
+
+    def test_empty_and_zero(self, f5):
+        for field in (QQ, f5):
+            assert linalg._forward(field, [], 4) == ([], [], 1)
+            assert linalg._forward(field, [[0, 0], [0, 0]], 2) == ([], [], 1)
+            assert linalg._det(field, []) == 1
+        assert Matrix.zeros(QQ, 3, 0).rank() == Matrix.zeros(QQ, 0, 3).rank() == 0
+        assert linalg.column_basis(Matrix.zeros(QQ, 2, 3)) == ([], [], 1)

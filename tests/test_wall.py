@@ -392,3 +392,144 @@ class TestMovedSpaceEnumeration:
                          if moved_space(f) == full]
         assert len(got) == len(with_full_mov) == 3
         assert {f.key() for f in got} == {f.key() for f in with_full_mov}
+
+
+# ---------------------------------------------------------------------------
+# lengths, spinor norms and Wall forms from one column basis of id - f
+
+def fresh(f):
+    """The same isometry without its kept Wall form."""
+    return Isometry(f.space, f.matrix, _checked=True)
+
+
+def full_solve_wall_form(f):
+    """Mov(f) as the canonical basis of im(D), D = id - f, and chi = W B U^T
+    with the witnesses W from one elimination of [D | U^T]."""
+    from wallfact.linalg import image, solve_all
+    space = f.space
+    D = Matrix.identity(space.field, space.dim) - f.matrix
+    mov = image(D)
+    W = solve_all(D, mov.basis_matrix())
+    chi = Matrix(space.field, W, cols=space.dim) @ space.polar_matrix \
+        @ mov.basis_matrix().transpose()
+    return mov, chi
+
+
+def image_rule_distance(g, h):
+    """l(g^-1 h) read from the canonical basis of W = im(g - h)."""
+    from wallfact.linalg import image
+    W = image(g.matrix - h.matrix)
+    return W.dim + 2 if W.dim and g.space.is_totally_singular(W) else W.dim
+
+
+def caller_cases(field, rng, dims):
+    """(label, f) over field: identities, single reflections, full and half
+    moved spaces, isometries whose Wall form is already kept, and over Q
+    totally singular moved spaces."""
+    cases = []
+    for n in dims:
+        space = diagonal_space(field, [rng.choice([1, 2, -1, -2]) for _ in range(n)])
+        cases.append(("identity", space.identity_isometry()))
+        cases.append(("reflection", random_isometry(space, rng, 1)))
+        cases.append(("full", random_isometry(space, rng, n)))
+        cases.append(("half", random_isometry(space, rng, n // 2)))
+        kept = random_isometry(space, rng, rng.randint(1, n))
+        wall_form(kept)
+        cases.append(("kept", kept))
+        if field is QQ and n % 2 == 0 and n >= 4:
+            hyperbolic = diagonal_space(field, [1] * (n // 2) + [-1] * (n // 2))
+            cases.append(("singular", totally_singular_isometry(hyperbolic, rng)))
+    return cases
+
+
+class TestColumnBasisCallers:
+    """spinor_norm, reflection_distance and wall_form read one forward
+    elimination of the displacement; each against the canonical-basis rule
+    it replaced."""
+
+    FIELDS = (QQ, PrimeField(3), PrimeField(5), PrimeField(7))
+
+    @pytest.fixture(params=FIELDS, ids=str)
+    def cases(self, request):
+        field = request.param
+        return caller_cases(field, random.Random(6703 + getattr(field, "p", 0)), range(2, 10))
+
+    def test_spinor_norm_is_the_class_of_det_chi(self, cases):
+        for label, f in cases:
+            g = fresh(f)
+            wd = wall_form(fresh(f))
+            field = f.space.field
+            expected = field.square_class(wd.det() if wd.dim else field.one)
+            assert spinor_norm(g) == expected, label
+            assert g._wall is None
+            assert spinor_norm(f) == expected, label
+
+    def test_wall_form_matches_the_canonical_construction(self, cases):
+        labels = set()
+        for label, f in cases:
+            mov, chi = full_solve_wall_form(f)
+            wd = wall_form(fresh(f))
+            assert wd.subspace.basis_matrix()._int_form() == mov.basis_matrix()._int_form()
+            assert wd.chi._int_form() == chi._int_form()
+            assert wall_form(f) == wd
+            labels.add((label, "full" if wd.dim == f.space.dim else "part" if wd.dim else "zero"))
+        assert {("full", "full"), ("half", "part"), ("reflection", "part"),
+                ("identity", "zero")} <= labels
+
+    def test_distance_matches_the_image_rule(self, cases):
+        from wallfact import reflection_distance, reflection_length
+        rng = random.Random(4242)
+        by_space = {}
+        for _, f in cases:
+            by_space.setdefault(f.space, []).append(f)
+        singular = 0
+        for fs in by_space.values():
+            for g in fs:
+                for h in fs:
+                    assert reflection_distance(g, h) == image_rule_distance(g, h)
+                length = reflection_length(g)
+                assert length == image_rule_distance(g.space.identity_isometry(), g)
+                singular += length == moved_space(g).dim + 2
+            t = rng.choice(fs)
+            for s in fs:
+                assert reflection_distance(s, s @ t) == image_rule_distance(s, s @ t)
+        if cases[0][1].space.field is QQ:
+            assert singular >= 3
+
+    def test_totally_singular_lengths_over_f3(self, census_f3_d4):
+        from wallfact import reflection_distance
+        elements = census_f3_d4.elements
+        rng = random.Random(9311)
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(400)]
+        singular = 0
+        for g, h in pairs + [(g, g) for g in elements[:20]]:
+            expected = image_rule_distance(g, h)
+            assert reflection_distance(g, h) == expected
+            singular += expected > moved_space(fresh(g.inverse() @ h)).dim
+        assert singular
+
+
+class TestNoCanonicalBasisForInvariants:
+    """For an isometry of an 8-dimensional space with a 4-dimensional moved
+    space, the length, the spinor norm and the order run no reduced echelon
+    elimination, and the Wall form runs two, each on dim Mov(f) rows."""
+
+    def test_rref_calls(self, monkeypatch):
+        from wallfact import less_equal, linalg, reflection_length
+        rng = random.Random(5521)
+        space = diagonal_space(QQ, [1, 1, 2, -1, 3, -1, -2, 1])
+        f = random_isometry(space, rng, 4)
+        g = space.reflection(random_nonsingular_vector(space, rng)) @ f
+        m = moved_space(fresh(f)).dim
+        assert m == 4
+        calls = []
+        real = linalg._rref
+        monkeypatch.setattr(linalg, "_rref",
+                            lambda field, rows, ncols: calls.append(len(rows))
+                            or real(field, rows, ncols))
+        spinor_norm(fresh(f))
+        reflection_length(fresh(f))
+        less_equal(fresh(g), fresh(f))
+        assert calls == []
+        wall_form(fresh(f))
+        assert calls == [m, m]
