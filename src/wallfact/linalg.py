@@ -434,6 +434,30 @@ def _forward_mod(rows, ncols, p):
     return order[:r], pivots, minor
 
 
+def _rank_one_mod(p, A, B):
+    """Whether A - B has rank exactly one mod p, for residue rows A and B.
+
+    Residues lie in [0, p), so a row of A - B is zero exactly when the two
+    rows are equal.  The first nonzero row l, with lead column c (l_c != 0),
+    spans the row space exactly when every later row r is (r_c / l_c) l,
+    that is l_c r_k - r_c l_k = 0 mod p for every k; the first row that
+    fails ends the test.
+    """
+    lead = None
+    for a, b in zip(A, B):
+        if a == b:
+            continue
+        if lead is None:
+            lead = [x - y for x, y in zip(a, b)]
+            c = next(k for k, x in enumerate(lead) if x)
+            lc = lead[c]
+        else:
+            rc = a[c] - b[c]
+            if any((lc * (x - y) - rc * l) % p for x, y, l in zip(a, b, lead)):
+                return False
+    return lead is not None
+
+
 def _check_same_field(a, b):
     """Raise as the scalars would when operands live in different fields."""
     if a == b:

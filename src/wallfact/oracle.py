@@ -18,6 +18,13 @@ with dim Mov(g) read off one forward elimination mod p
 objects are built once per element, only when a caller asks for
 ``GroupCensus.elements``, and the reflections on first use of
 ``GroupCensus.reflections``.
+
+Loading a cache file checks every element against the form on a pair
+table: G v mod p is kept per column code and v_i^T G v_j mod p per
+distinct pair of codes, and each element compares the values of its pairs
+with G[i][j] at their positions (i <= j for a symmetric G).  A group has
+few distinct columns, so few distinct pairs: O(4, F_3) has about 600,
+against n^3 products per element for a direct check.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (Matrix, TooLarge, _forward, _is_symmetric, _preserves_form_mod,
-                     _reflection_product_mod, projective_points)
+from .linalg import (Matrix, TooLarge, _forward, _is_symmetric, _reflection_product_mod,
+                     projective_points)
 from .order import admissible_subspaces, less_equal
 from .quadspace import Isometry, NotIsometry
 from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
@@ -441,8 +448,14 @@ def load_census(space, path):
     including a file of another format version or of none.
 
     Each element must be n codes, each an int in [0, p^n), whose columns
-    preserve the form (``_preserves_form_mod``): what ``Isometry(space,
-    rows)`` would check.  Raises NotIsometry on the first that is not.
+    preserve the form: v_i^T G v_j = G[i][j] mod p for the columns v_i,
+    what ``Isometry(space, rows)`` would check.  The pairs compared are
+    i <= j when G is symmetric (both sides are then symmetric), else all
+    pairs, and each value is read from a pair table: G v mod p is kept per
+    column code and v_i^T G v_j mod p per distinct pair of codes, so an
+    element costs n(n + 1)/2 lookups.  The table keeps values, not
+    verdicts, because a pair of columns can be valid at one position and
+    not at another.  Raises NotIsometry on the first element that fails.
     """
     import json
     import os
@@ -458,20 +471,30 @@ def load_census(space, path):
     size = p ** n
     G = space.gram._int_form()[0]
     symmetric = _is_symmetric(G)    # decided once per load, not per element
-    columns = {}                    # code -> its column as a residue vector
+    positions = [(i, j, G[i][j]) for j in range(n) for i in range(j + 1 if symmetric else n)]
+    columns = {}                    # code -> (its column v, G v mod p)
+    values = {}                     # code_i * p^n + code_j -> v_i^T G v_j mod p
+
+    def column(code):
+        col = columns.get(code)
+        if col is None:
+            v = _digits(code, p, n)
+            col = columns[code] = (v, [sum(map(mul, row, v)) % p for row in G])
+        return col
+
     codes = []
     for g in data["codes"]:
         if not isinstance(g, list) or len(g) != n:
             raise NotIsometry("%r is not %d column codes" % (g, n))
-        cols = []
         for code in g:
             if type(code) is not int or not 0 <= code < size:
                 raise NotIsometry("column code %r outside [0, %d)" % (code, size))
-            v = columns.get(code)
-            if v is None:
-                v = columns[code] = _digits(code, p, n)
-            cols.append(v)
-        if not _preserves_form_mod(p, cols, G, symmetric):
-            raise NotIsometry("matrix does not preserve the quadratic form")
+        for i, j, target in positions:
+            pair = g[i] * size + g[j]
+            value = values.get(pair)
+            if value is None:
+                value = values[pair] = sum(map(mul, column(g[i])[0], column(g[j])[1])) % p
+            if value != target:
+                raise NotIsometry("matrix does not preserve the quadratic form")
         codes.append(tuple(g))
     return GroupCensus(space, tuple(codes), dict(zip(codes, data["lengths"])))

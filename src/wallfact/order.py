@@ -12,13 +12,37 @@ materialized over finite fields only; over the rationals the module exposes
 just the comparison predicate.
 
 A materialized interval is built from its covers, not from pairwise
-comparisons.  Each element is ranked by its construction (dim U for the
-image of an admissible subspace U, the filter's length otherwise); h covers
-g when l(h) = l(g) + 1 and rank(h - g) = 1, and the order is the
-reflexive-transitive closure of the covers (see ``_build_poset``).
+comparisons.  h covers g when l(h) = l(g) + 1 and rank(h - g) = 1, and the
+order is the reflexive-transitive closure of the covers (see
+``_build_poset``).  The rank test runs on the residue rows of the two
+elements, read once per element, with no matrix built per pair
+(``linalg._rank_one_mod``): take the first nonzero row l of h - g and its
+lead column c; the rank is one exactly when every other row r satisfies
+l_c r_k - r_c l_k = 0 mod p for all k, that is r = (r_c / l_c) l.
 ``less_equal`` keeps the pairwise definition; the tests use it as the
 oracle for the whole order.  Minimal factorizations of f are the maximal
 chains of [id, f], so ``IntervalPoset.maximal_chain_count`` counts them.
+
+Each element is ranked by its construction, never by a length
+computation.  For a minimal f the image of an admissible U has rank
+dim U.  For a non-minimal f every candidate below f comes from
+``wall.enumerate_isometries_with_moved_space(space, U)`` for a subspace U
+of an overspace W not inside Mov(f), so U != 0, and every candidate g has
+Mov(g) = U.  By the length formula l(g) = dim Mov(g), plus 2 when Mov(g)
+is totally singular (``factor``), every candidate for U has length
+dim U + 2 when U is totally singular and dim U otherwise.  That is decided
+once per U; the filter l(g) + l(g^-1 f) = l(f) then needs only
+``reflection_distance(g, f)`` per candidate.
+
+The candidates are counted before any is built.  A subspace U of W of
+dimension k carries p^(k(k-1)/2) candidate Wall forms (the strictly upper
+entries of chi are free), so the overspaces give
+(number of overspaces) * sum_k [dim W, k]_p p^(k(k-1)/2) candidates
+(``wall_candidate_count``), and past the cap ``interval`` raises TooLarge
+before it enumerates.  In diag(1^4, (-1)^4) over F_3 the element with the
+totally singular Mov(f) = span(e_i + e_(i+4)) and the standard alternating
+chi has 40 overspaces of dimension 5 and 7,347,200 candidates, past the
+default cap of 10^6.
 """
 
 from __future__ import annotations
@@ -28,10 +52,10 @@ from dataclasses import dataclass
 
 from .factor import is_minimal, reflection_distance, reflection_length
 from .field import PrimeField
-from .linalg import (DEFAULT_SUBSPACE_CAP, Subspace, enumerate_subspaces, projective_points,
-                     subspace_sum)
+from .linalg import (DEFAULT_SUBSPACE_CAP, Subspace, TooLarge, _rank_one_mod,
+                     enumerate_subspaces, gaussian_binomial, projective_points, subspace_sum)
 from .quadspace import Isometry
-from .wall import (CheckReport, enumerate_isometries_with_moved_space, isometry_from_wall,
+from .wall import (CheckReport, _from_admissible, enumerate_isometries_with_moved_space,
                    moved_space, wall_form)
 
 
@@ -131,7 +155,9 @@ def _build_poset(f, ranked, blocks=None):
     """The poset on the elements of [id, f], from covers and their closure.
 
     ranked holds (rank, element) pairs.  Only pairs one rank apart are
-    tested: (i, j) is a cover when rank(elements[j] - elements[i]) = 1.  The
+    tested: (i, j) is a cover when rank(elements[j] - elements[i]) = 1,
+    decided on the residue rows of the two elements, read once per element,
+    by ``linalg._rank_one_mod`` with no matrix built per pair.  The
     order is the reflexive-transitive closure of the covers, kept as one
     bitset per element of the elements below it, filled in rank order from
     the bitsets of its lower covers.
@@ -153,12 +179,14 @@ def _build_poset(f, ranked, blocks=None):
     ranked = sorted(((r, _sort_key(g), g) for r, g in ranked), key=lambda t: t[:2])
     ranks = tuple(r for r, _, _ in ranked)
     elements = tuple(g for _, _, g in ranked)
+    p = f.space.field.p
+    residues = [g.matrix._int_form()[0] for g in elements]
     covers = []
     below = []              # below[j] has bit i set when elements[i] <= elements[j]
-    for j, h in enumerate(elements):
+    for j, h in enumerate(residues):
         bits = 1 << j
         for i in range(bisect_left(ranks, ranks[j] - 1), bisect_left(ranks, ranks[j])):
-            if (h.matrix - elements[i].matrix).rank() == 1:
+            if _rank_one_mod(p, h, residues[i]):
                 covers.append((i, j))
                 bits |= below[i]
         below.append(bits)
@@ -188,6 +216,14 @@ def codimension_one_overspaces(f):
     return out
 
 
+def wall_candidate_count(k, p):
+    """Number of Wall data (U, chi) that ``enumerate_isometries_with_moved_space``
+    tries over all subspaces U of a k-dimensional space over F_p: the
+    Gaussian binomial [k, j]_p subspaces of each dimension j, times the
+    p^(j(j-1)/2) choices of the strictly-upper entries of chi."""
+    return sum(gaussian_binomial(k, j, p) * p ** (j * (j - 1) // 2) for j in range(k + 1))
+
+
 def interval(f, cap=DEFAULT_SUBSPACE_CAP) -> IntervalPoset:
     """The interval [id, f], materialized over a finite field.
 
@@ -203,23 +239,31 @@ def interval(f, cap=DEFAULT_SUBSPACE_CAP) -> IntervalPoset:
         return _build_poset(f, [(0, f)])
     wd = wall_form(f)
     if is_minimal(f):
-        ranked = [(U.dim, isometry_from_wall(space, U, wd.restrict(U)))
-                  for U in admissible_subspaces(f, cap=cap)]
+        B = space.polar_matrix
+        ranked = []
+        for U in admissible_subspaces(f, cap=cap):
+            basis = U.basis_matrix()
+            ranked.append((U.dim, _from_admissible(space, basis, basis @ B, wd.restrict(U))))
         return _build_poset(f, ranked)
     identity = Isometry.identity(space)
     mov = moved_space(f)
     length = reflection_length(f)
+    overspaces = codimension_one_overspaces(f)
+    total = len(overspaces) * wall_candidate_count(mov.dim + 1, space.field.p)
+    if total > cap:
+        raise TooLarge("%d candidate isometries exceeds the cap of %d" % (total, cap))
     blocks = []
     ranked = {identity.key(): (0, identity), f.key(): (length, f)}
-    for W in codimension_one_overspaces(f):
+    for W in overspaces:
         members = []
         for U in enumerate_subspaces(W, cap):
             if U.is_contained_in(mov):
                 # strict predecessors of a non-minimal f never keep their
                 # moved space inside Mov(f), and neither id nor f is outside
                 continue
+            # every candidate has moved space U != 0, hence this length
+            rank = U.dim + 2 if space.is_totally_singular(U) else U.dim
             for g in enumerate_isometries_with_moved_space(space, U):
-                rank = reflection_length(g)
                 if rank + reflection_distance(g, f) == length:
                     members.append(g)
                     ranked[g.key()] = (rank, g)

@@ -5,7 +5,16 @@ image of id - f, and chi_f is the non-degenerate bilinear form on Mov(f)
 with chi_f(w - f(w), v) = beta(w, v).  Going back, a pair (W, chi) with chi
 non-degenerate and chi(u, u) = Q(u) on W determines a unique isometry; the
 construction inverts one m x m matrix and is implemented in closed form as
-F = I - U^T X^-T U B for a row basis U of W.
+F = I - U^T X^-T (U B) for a row basis U of W.  In a basis, chi(u, u) = Q(u)
+on W reads X + X^T = (U B) U^T, the polar Gram matrix: the diagonal
+condition X[i][i] = Q(u_i) is implied by it, since beta(u, u) = 2 Q(u) and
+char != 2.  ``isometry_from_wall`` still tests the diagonal first, off the
+same matrix X + X^T - (U B) U^T, so that a wrong diagonal entry is reported
+as such.  Wall data that is admissible by construction (the candidates of
+``enumerate_isometries_with_moved_space``, and the restrictions of a Wall
+form to the admissible subspaces of an interval) skips those checks: it
+goes to the private ``_from_admissible``, given U B, which builds F and
+ends, like the public construction, in the ``Isometry`` form certificate.
 
 The spinor norm is the square class of det(chi_f) in any basis of Mov(f)
 (Zassenhaus).  Both it and the Wall form start from one forward
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, Subspace, column_basis, combine, image, kernel, restrict_bilinear,
                      solve_all)
-from .quadspace import Isometry
+from .quadspace import DegenerateForm, Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
 __all__ = [
@@ -195,7 +204,14 @@ def isometry_from_wall(space, basis, chi) -> Isometry:
     row matrix / list of rows; chi is the matrix of the form in that basis.
     Preconditions: det(chi) != 0, chi[i][i] = Q(u_i), and chi + chi^T equals
     the polar Gram matrix of the basis (together these say chi(u,u) = Q(u)
-    on the whole span, char != 2).
+    on the whole span, char != 2).  Explicit rows must be independent; the
+    canonical rows of a Subspace are, so they are not tested.
+
+    U B is computed once, and the polar Gram matrix (U B) U^T from it.  As
+    beta(u, u) = 2 Q(u), the diagonal condition reads 2 chi[i][i] =
+    beta(u_i, u_i), the diagonal of chi + chi^T - (U B) U^T, whose zero
+    test is then the polar condition.  The result is built and certified by
+    ``_from_admissible``.
     """
     if isinstance(basis, Subspace):
         U = basis.basis_matrix()
@@ -207,19 +223,31 @@ def isometry_from_wall(space, basis, chi) -> Isometry:
     m = U.rows
     if m == 0:
         return Isometry.identity(space)
-    if U.rank() != m:
+    if not isinstance(basis, Subspace) and U.rank() != m:
         raise ValueError("basis rows are linearly dependent")
     if X.rows != m or X.cols != m:
         raise ChiQMismatch("chi must be %dx%d" % (m, m))
     if not X.det():
         raise DegenerateChi("the candidate Wall form is degenerate")
+    if U.cols != space.dim:
+        raise DegenerateForm("vector of length %d in dimension %d" % (U.cols, space.dim))
+    UB = U @ space.polar_matrix
+    excess = X + X.transpose() - UB @ U.transpose()
     for i in range(m):
-        if X[i, i] != space.q_value(U.row(i)):
+        if excess[i, i]:
             raise ChiQMismatch("diagonal entry %d does not match Q" % i)
-    if X + X.transpose() != space.polar_gram_on(U.entries):
+    if not excess.is_zero():
         raise ChiQMismatch("chi + chi^T does not match the polar form")
-    F = Matrix.identity(space.field, space.dim) - (
-        U.transpose() @ X.transpose().inverse() @ U @ space.polar_matrix)
+    return _from_admissible(space, U, UB, X)
+
+
+def _from_admissible(space, U, UB, X):
+    """The isometry F = I - U^T X^-T (U B) of Wall data known to be
+    admissible: U a row basis matrix, UB = U B, and X a non-degenerate
+    Matrix with X + X^T = (U B) U^T.  ``Isometry`` still certifies F."""
+    if not U.rows:
+        return Isometry.identity(space)
+    F = Matrix.identity(space.field, space.dim) - U.transpose() @ X.transpose().inverse() @ UB
     return Isometry(space, F)
 
 
@@ -313,7 +341,10 @@ def enumerate_isometries_with_moved_space(space, U):
 
     chi is pinned on the diagonal (by Q) and on symmetrized entries (by the
     polar form), so only the strictly-upper entries range over the field;
-    non-degenerate choices biject with the isometries.
+    non-degenerate choices biject with the isometries.  Every such choice
+    meets the diagonal and polar conditions, so U B and the polar Gram
+    matrix are computed once per U, each candidate chi is written straight
+    into its residue rows, and it goes to ``_from_admissible``.
     """
     import itertools
 
@@ -322,18 +353,21 @@ def enumerate_isometries_with_moved_space(space, U):
     if k == 0:
         yield Isometry.identity(space)
         return
-    rows = U.basis
-    qdiag = [space.q_value(u) for u in rows]
-    bgram = space.polar_gram_on(rows)
+    p = field.p
+    basis = U.basis_matrix()
+    UB = basis @ space.polar_matrix
+    bgram = (UB @ basis.transpose())._int_form()[0]     # residues of the polar Gram matrix
+    half = (p + 1) // 2                                 # the inverse of 2 mod p
+    qdiag = [bgram[i][i] * half % p for i in range(k)]  # Q(u_i) = beta(u_i, u_i) / 2
     positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    for assignment in itertools.product(list(field.elements()), repeat=len(positions)):
-        X = [[field.zero] * k for _ in range(k)]
+    for assignment in itertools.product(range(p), repeat=len(positions)):
+        X = [[0] * k for _ in range(k)]
         for i in range(k):
             X[i][i] = qdiag[i]
         for (i, j), t in zip(positions, assignment):
             X[i][j] = t
-            X[j][i] = bgram[i, j] - t
-        M = Matrix(field, X, cols=k)
+            X[j][i] = (bgram[i][j] - t) % p
+        M = Matrix._of_int(field, X, 1, k)
         if not M.det():
             continue
-        yield isometry_from_wall(space, U, M)
+        yield _from_admissible(space, basis, UB, M)

@@ -458,6 +458,17 @@ factor.nonalternating_witness = real_witness
 if len(witness_calls) != 3:
     raise SystemExit("triangular_rows: %d witness calls, not 3" % len(witness_calls))
 
+# _from_admissible: chi = [[2]] on a line with Q = 1 breaks the polar
+# condition, so the matrix built is no isometry and the form certificate
+# must reject it
+line = linalg.Matrix(QQ, [(1, 0, 0)])
+try:
+    wall._from_admissible(space, line, line @ space.polar_matrix, linalg.Matrix(QQ, [[2]]))
+except quadspace.NotIsometry:
+    pass
+else:
+    raise SystemExit("_from_admissible: no NotIsometry")
+
 # Factorization: the word is a valid one for another isometry, so the
 # rank-one certificate must reject it
 try:

@@ -610,3 +610,61 @@ class TestForwardKernel:
             assert linalg._det(field, []) == 1
         assert Matrix.zeros(QQ, 3, 0).rank() == Matrix.zeros(QQ, 0, 3).rank() == 0
         assert linalg.column_basis(Matrix.zeros(QQ, 2, 3)) == ([], [], 1)
+
+
+def rank_r_residues(rng, p, n, r):
+    """An n x n residue matrix of rank at most r: a sum of r outer products."""
+    M = [[0] * n for _ in range(n)]
+    for _ in range(r):
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.randrange(p) for _ in range(n)]
+        M = [[(x + a * b) % p for x, b in zip(row, v)] for row, a in zip(M, u)]
+    return M
+
+
+class TestRankOneMod:
+    """linalg._rank_one_mod against Matrix.rank() == 1 on A - B."""
+
+    @staticmethod
+    def by_rank(p, A, B):
+        field = PrimeField(p)
+        return (Matrix(field, A) - Matrix(field, B)).rank() == 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_seeded_pairs(self, p):
+        rng = random.Random(3000 + p)
+        seen = set()
+        for n in range(1, 7):
+            for _ in range(60):
+                A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                D = rank_r_residues(rng, p, n, rng.choice([0, 1, 1, 2, 3]))
+                B = [[(x - y) % p for x, y in zip(a, d)] for a, d in zip(A, D)]
+                expected = self.by_rank(p, A, B)
+                assert linalg._rank_one_mod(p, A, B) == expected, (A, B)
+                seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_special_cases(self, p):
+        rng = random.Random(4000 + p)
+        for n in range(1, 7):
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            # equal matrices: rank 0
+            assert not linalg._rank_one_mod(p, A, [row[:] for row in A])
+            assert not self.by_rank(p, A, A)
+            # rank one, with the first rows of the difference zero
+            u = [0] * (n - 1) + [1 + rng.randrange(p - 1)]
+            v = [0] * rng.randrange(n) + [1 + rng.randrange(p - 1)]
+            v += [rng.randrange(p) for _ in range(n - len(v))]
+            B = [[(x - a * b) % p for x, b in zip(row, v)] for row, a in zip(A, u)]
+            assert linalg._rank_one_mod(p, A, B) and self.by_rank(p, A, B)
+            if n < 3:
+                continue
+            # rank two, with the first two nonzero rows of the difference
+            # proportional: only a later row breaks the rank
+            w = [0] * n
+            w[(v.index(next(x for x in v if x)) + 1) % n] = 1
+            D = [[0] * n] * (n - 3) + [v, [2 * x % p for x in v], w]
+            B = [[(x - y) % p for x, y in zip(a, d)] for a, d in zip(A, D)]
+            assert not linalg._rank_one_mod(p, A, B)
+            assert not self.by_rank(p, A, B)

@@ -376,3 +376,43 @@ class TestLargeCensus:
         assert len(census) == orthogonal_group_order(space) == 103680
         report = verify_length_formula(census)
         assert report.ok, report.violations[:3]
+
+
+class TestCensusPairTable:
+    """load_census compares a value per column pair and position, read from
+    a table of values per distinct pair of column codes."""
+
+    @pytest.fixture(scope="class")
+    def o4_f3(self):
+        return enumerate_group(diagonal_space(PrimeField(3), [1, 1, 1, -1]))
+
+    def test_swapped_columns_whose_pairs_were_all_seen(self, o4_f3, tmp_path):
+        # columns 0 and 3 have Q = 1 and Q = -1 in every element; find the
+        # first element whose every ordered pair of columns, after the swap,
+        # already occurred in an earlier (valid) element
+        n, a, b = 4, 0, 3
+        seen = {}                   # ordered pair of codes -> positions seen
+        for k, g in enumerate(o4_f3.codes):
+            h = list(g)
+            h[a], h[b] = h[b], h[a]
+            if all((h[i], h[j]) in seen for i in range(n) for j in range(n)):
+                break
+            for i in range(n):
+                for j in range(n):
+                    seen.setdefault((g[i], g[j]), set()).add((i, j))
+        else:
+            pytest.fail("no element whose swapped pairs all occur earlier")
+        assert (a, a) not in seen[(h[a], h[a])]     # valid only at another position
+        path = tmp_path / "census.json"
+        save_census(o4_f3, str(path))
+        data = json.loads(path.read_text())
+        assert data["codes"][k] == list(g)
+        data["codes"][k] = h
+        path.write_text(json.dumps(data))
+        with pytest.raises(NotIsometry, match="does not preserve"):
+            load_census(o4_f3.space, str(path))
+        # the same file with the element put back loads, as saved
+        data["codes"][k] = list(g)
+        path.write_text(json.dumps(data))
+        loaded = load_census(o4_f3.space, str(path))
+        assert loaded.codes == o4_f3.codes and loaded.lengths == o4_f3.lengths

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -12,7 +13,10 @@ from wallfact import (Isometry, Matrix, PrimeField, QQ, Subspace, TooLarge,
                       less_equal, moved_space, reflection_length, subspace_sum, wall_form)
 from wallfact.cli import main
 from wallfact.oracle import brute_force_interval
-from wallfact.order import _sort_key, codimension_one_overspaces
+from wallfact.factor import reflection_distance
+from wallfact.linalg import enumerate_subspaces
+from wallfact.order import IntervalPoset, _sort_key, codimension_one_overspaces
+from wallfact.wall import enumerate_isometries_with_moved_space
 from tests.conftest import random_isometry
 
 
@@ -454,3 +458,165 @@ class TestNoInversesInOrder:
         rebuilt = order_mod._build_poset(poset.isometry, ranked[::-1], blocks)
         assert counts == {"inverse": 0, "reflection_length": 0}
         assert rebuilt == poset
+
+
+def reference_build_poset(f, ranked, blocks=None):
+    """_build_poset with the cover test it replaced: the rank of the matrix
+    h - g, one Matrix per pair one rank apart."""
+    ranked = sorted(((r, _sort_key(g), g) for r, g in ranked), key=lambda t: t[:2])
+    ranks = tuple(r for r, _, _ in ranked)
+    elements = tuple(g for _, _, g in ranked)
+    covers, below = [], []
+    for j, h in enumerate(elements):
+        bits = 1 << j
+        for i in range(bisect_left(ranks, ranks[j] - 1), bisect_left(ranks, ranks[j])):
+            if (h.matrix - elements[i].matrix).rank() == 1:
+                covers.append((i, j))
+                bits |= below[i]
+        below.append(bits)
+    leq = tuple(tuple(bool(below[j] >> i & 1) for j in range(len(elements)))
+                for i in range(len(elements)))
+    if blocks is not None:
+        index = {g.key(): i for i, g in enumerate(elements)}
+        blocks = [(W, sorted(index[g.key()] for g in members)) for W, members in blocks]
+    return IntervalPoset(f, elements, leq, ranks, tuple(sorted(covers)), blocks)
+
+
+def pairwise_reference_interval(f):
+    """interval(f) by the rules it replaced: each element built by the
+    public ``isometry_from_wall``, each non-minimal candidate ranked by its
+    own ``reflection_length``, and covers by ``reference_build_poset``."""
+    space = f.space
+    if f.is_identity():
+        return reference_build_poset(f, [(0, f)])
+    wd = wall_form(f)
+    if is_minimal(f):
+        return reference_build_poset(f, [(U.dim, isometry_from_wall(space, U, wd.restrict(U)))
+                                      for U in admissible_subspaces(f)])
+    identity = space.identity_isometry()
+    mov = moved_space(f)
+    length = reflection_length(f)
+    blocks = []
+    ranked = {identity.key(): (0, identity), f.key(): (length, f)}
+    for W in codimension_one_overspaces(f):
+        members = []
+        for U in enumerate_subspaces(W):
+            if U.is_contained_in(mov):
+                continue
+            for g in enumerate_isometries_with_moved_space(space, U):
+                rank = reflection_length(g)
+                if rank + reflection_distance(g, f) == length:
+                    members.append(g)
+                    ranked[g.key()] = (rank, g)
+        if members:
+            blocks.append((W, members))
+    return reference_build_poset(f, list(ranked.values()), blocks)
+
+
+class TestIntervalOnResidues:
+    """Covers by rank-one tests on residue rows, and candidate ranks from
+    their moved space, against the rules they replaced: identical elements,
+    ranks, covers, leq and blocks."""
+
+    def test_every_element_of_o3_f3(self, census_f3_d3):
+        for f in census_f3_d3.elements:
+            assert interval(f) == pairwise_reference_interval(f)
+
+    def test_every_element_of_o3_f5(self, census_f5_d3):
+        for f in census_f5_d3.elements:
+            assert interval(f) == pairwise_reference_interval(f)
+
+    def test_nonminimal_elements_of_o4_f3(self, census_f3_d4):
+        nonminimal = [f for f in census_f3_d4.elements if not is_minimal(f)]
+        assert len(nonminimal) == 16
+        for f in nonminimal:
+            poset = interval(f)
+            assert poset.blocks
+            assert poset == pairwise_reference_interval(f)
+
+
+@pytest.mark.slow
+class TestIntervalAgainstO4F5Census:
+    """interval(f) against the BFS lengths of O(4, F_5), diag(1, 1, 1, -1),
+    past the O(4, F_3) census; deselected by default, run with -m slow."""
+
+    def test_seeded_minimal_and_nonminimal_elements(self):
+        from wallfact import enumerate_group
+        space = diagonal_space(PrimeField(5), [1, 1, 1, -1])
+        census = enumerate_group(space)
+        assert len(census) == 28800
+        rng = random.Random(5504)
+        minimal = [f for f in census.elements if is_minimal(f)]
+        nonminimal = [f for f in census.elements if not is_minimal(f)]
+        for f in rng.sample(minimal, 5) + rng.sample(nonminimal, 5):
+            poset = interval(f)
+            assert ({g.key() for g in poset.elements}
+                    == {g.key() for g in brute_force_interval(census, f)})
+            n = len(poset)
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            if n > 60:
+                related = [(i, j) for i, j in pairs if poset.leq[i][j]]
+                pairs = rng.sample(related, min(len(related), 1500)) + rng.sample(pairs, 1500)
+            for i, j in pairs:
+                assert poset.leq[i][j] == less_equal(poset.elements[i], poset.elements[j])
+
+
+def singular_wall_element(h):
+    """f = isometry_from_wall(U, J) in diag(1^h, (-1)^h) over F_3, with
+    U = span(e_i + e_{i+h}) totally singular and J the standard alternating
+    form on it, [[0, I], [-I, 0]]: a non-minimal element of length h + 2."""
+    F3 = PrimeField(3)
+    space = diagonal_space(F3, [1] * h + [-1] * h)
+    basis = [[int(j in (i, i + h)) for j in range(2 * h)] for i in range(h)]
+    half = h // 2
+    J = [[(j == i + half) - (i == j + half) for j in range(h)] for i in range(h)]
+    return isometry_from_wall(space, Matrix(F3, basis), J)
+
+
+class TestCandidateBudget:
+    """Non-minimal intervals count their candidate Wall data before
+    enumerating any: past the cap they raise TooLarge at once."""
+
+    @pytest.fixture
+    def no_candidates(self, monkeypatch):
+        """Fail at once, rather than run for hours, if a candidate is built."""
+        def refuse(space, U):
+            raise AssertionError("a candidate was enumerated past the cap")
+        monkeypatch.setattr(order_mod, "enumerate_isometries_with_moved_space", refuse)
+
+    @pytest.mark.parametrize("k,p", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 5)])
+    def test_count_is_the_enumeration(self, k, p):
+        field = PrimeField(p)
+        counted = sum(p ** (U.dim * (U.dim - 1) // 2)
+                      for U in enumerate_subspaces(Subspace.full(field, k)))
+        assert order_mod.wall_candidate_count(k, p) == counted
+
+    def test_n8_case_is_too_large(self, no_candidates):
+        f = singular_wall_element(4)
+        assert not is_minimal(f) and reflection_length(f) == 6
+        assert len(codimension_one_overspaces(f)) == 40
+        assert 40 * order_mod.wall_candidate_count(5, 3) == 7347200
+        with pytest.raises(TooLarge, match="7347200 candidate"):
+            interval(f)
+
+    def test_cli_interval_exits_one_at_once(self, no_candidates, tmp_path, capsys):
+        import time
+        f = singular_wall_element(4)
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"field": "prime", "p": 3, "form": [
+            [(1 if i < 4 else -1) * (i == j) for j in range(8)] for i in range(8)]}))
+        iso = tmp_path / "f.json"
+        iso.write_text(json.dumps({"matrix": [[x.value for x in row]
+                                              for row in f.matrix.entries]}))
+        start = time.perf_counter()
+        code = main(["interval", "--form", str(form), "--isometry", str(iso)])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"] == "TooLarge"
+        assert elapsed < 1.0
+
+    def test_94_element_interval_is_under_the_cap(self, nonminimal_f3, no_candidates):
+        f = nonminimal_f3[1]
+        assert len(codimension_one_overspaces(f)) * order_mod.wall_candidate_count(3, 3) < 10 ** 6
+        with pytest.raises(TooLarge):
+            interval(f, cap=100)

@@ -7,7 +7,7 @@ from wallfact import (ChiQMismatch, DegenerateChi, Matrix, PrimeField, QQ,
                       chi_right_complement, diagonal_space, fixed_space,
                       isometry_from_wall, moved_space, spinor_norm, wall_form)
 from wallfact import wall
-from wallfact.linalg import bilinear_value
+from wallfact.linalg import bilinear_value, enumerate_subspaces
 from wallfact.wall import Isometry, WallData, enumerate_isometries_with_moved_space
 from tests.conftest import random_isometry, random_nonsingular_vector
 
@@ -533,3 +533,124 @@ class TestNoCanonicalBasisForInvariants:
         assert calls == []
         wall_form(fresh(f))
         assert calls == [m, m]
+
+
+def checked_isometry_from_wall(space, basis, chi):
+    """The construction isometry_from_wall replaced: the rank test on every
+    basis, Q(u_i) per diagonal entry, the polar Gram matrix of the rows, and
+    F = I - U^T X^-T U B."""
+    if isinstance(basis, Subspace):
+        U = basis.basis_matrix()
+    elif isinstance(basis, Matrix):
+        U = basis
+    else:
+        U = Matrix(space.field, basis, cols=space.dim)
+    X = chi if isinstance(chi, Matrix) else Matrix(space.field, chi, cols=U.rows)
+    m = U.rows
+    if m == 0:
+        return Isometry.identity(space)
+    if U.rank() != m:
+        raise ValueError("basis rows are linearly dependent")
+    if X.rows != m or X.cols != m:
+        raise ChiQMismatch("chi must be %dx%d" % (m, m))
+    if not X.det():
+        raise DegenerateChi("the candidate Wall form is degenerate")
+    for i in range(m):
+        if X[i, i] != space.q_value(U.row(i)):
+            raise ChiQMismatch("diagonal entry %d does not match Q" % i)
+    if X + X.transpose() != space.polar_gram_on(U.entries):
+        raise ChiQMismatch("chi + chi^T does not match the polar form")
+    F = Matrix.identity(space.field, space.dim) - (
+        U.transpose() @ X.transpose().inverse() @ U @ space.polar_matrix)
+    return Isometry(space, F)
+
+
+def reference_enumerate(space, U):
+    """enumerate_isometries_with_moved_space as it was, through the public
+    construction per candidate."""
+    import itertools
+
+    field = space.field
+    k = U.dim
+    if k == 0:
+        yield Isometry.identity(space)
+        return
+    rows = U.basis
+    qdiag = [space.q_value(u) for u in rows]
+    bgram = space.polar_gram_on(rows)
+    positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for assignment in itertools.product(list(field.elements()), repeat=len(positions)):
+        X = [[field.zero] * k for _ in range(k)]
+        for i in range(k):
+            X[i][i] = qdiag[i]
+        for (i, j), t in zip(positions, assignment):
+            X[i][j] = t
+            X[j][i] = bgram[i, j] - t
+        M = Matrix(field, X, cols=k)
+        if not M.det():
+            continue
+        yield checked_isometry_from_wall(space, U, M)
+
+
+def refusal(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:        # the class and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestIsometryFromWallAgainstReference:
+    """One U B per call, the diagonal read off the polar Gram matrix, and no
+    rank test on a Subspace: the same refusals, in the same order, and the
+    same isometries as the construction they replaced."""
+
+    FIELDS = [QQ, PrimeField(5)]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_refusals_keep_class_and_message(self, field):
+        space = diagonal_space(field, [1, 1, -1])
+        u, v = (1, 0, 0), (0, 1, 1)          # Q(u) = 1, Q(v) = 0, beta(u, v) = 0
+        cases = {
+            "dependent rows": ([u, (2, 0, 0)], [[1, 0], [0, 4]]),
+            "dependent rows as a Matrix": (Matrix(field, [u, (2, 0, 0)]), [[1, 0], [0, 4]]),
+            "chi rows of the wrong length": ([u, v], [[1]]),
+            "chi too small": ([u, v], Matrix(field, [[1]])),
+            "chi not square": ([u, v], Matrix(field, [[1, 0, 0], [0, 0, 0]])),
+            "degenerate chi": ([u, v], [[1, 0], [0, 0]]),
+            "first diagonal entry": ([u, v], [[2, 0], [0, 1]]),
+            "second diagonal entry": ([u, v], [[1, 1], [-1, 1]]),
+            "polar mismatch": ([u, v], [[1, 1], [1, 0]]),
+            "polar mismatch on a Subspace": (Subspace(field, 3, [u, v]), [[1, 1], [1, 0]]),
+            "degenerate before diagonal": ([u, v], [[2, 0], [0, 0]]),
+            "rows of the wrong width": (Matrix(field, [(1, 0)]), [[1]]),
+        }
+        refused = set()
+        for name, (basis, chi) in cases.items():
+            expected = refusal(checked_isometry_from_wall, space, basis, chi)
+            assert expected is not None, name
+            assert refusal(isometry_from_wall, space, basis, chi) == expected, name
+            refused.add(expected[0])
+        assert {ValueError, ChiQMismatch, DegenerateChi} <= refused
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_seeded_admissible_pairs(self, field):
+        rng = random.Random(2030)
+        space = diagonal_space(field, [1, 2, -1, 1])
+        for _ in range(25):
+            f = random_isometry(space, rng)
+            wd = wall_form(f)
+            for basis in (wd.subspace, wd.basis, list(wd.subspace.basis)):
+                expected = checked_isometry_from_wall(space, basis, wd.chi)
+                assert expected == f
+                assert isometry_from_wall(space, basis, wd.chi) == expected
+
+    @pytest.mark.parametrize("p,values", [(3, [1, 1, -1, -1]), (5, [1, 1, 1]), (3, [1, 2, 1])])
+    def test_enumeration_same_isometries_in_order(self, p, values):
+        field = PrimeField(p)
+        space = diagonal_space(field, values)
+        rng = random.Random(2031 + p)
+        subspaces = list(enumerate_subspaces(Subspace.full(field, space.dim)))
+        for U in rng.sample(subspaces, 12) + [subspaces[0], subspaces[-1]]:
+            assert (list(enumerate_isometries_with_moved_space(space, U))
+                    == list(reference_enumerate(space, U)))
