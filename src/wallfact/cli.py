@@ -7,11 +7,17 @@ negative spinor, ...), 2 malformed input, 3 internal fault (a certificate
 or an internal invariant failed).  Domain errors are reported as
 {"error": code, "detail": message} on stdout, internal faults as
 {"error": "internal", "detail": message}.
+
+``main(argv)`` may be called repeatedly in one process.  It builds its
+parser once (``build_parser`` is cached) and reuses it; each call parses
+into a new namespace, and help and usage are formatted when printed, so a
+call's output and exit code are those of the same call in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,7 +219,10 @@ def cmd_verify(args):
     _emit(args, out)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process and shared by every
+    ``main`` call; callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="wallfact",
         description="Exact reflection factorizations in orthogonal groups.")

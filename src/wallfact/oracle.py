@@ -101,6 +101,31 @@ class GroupCensus:
         return Isometry.identity(self.space)
 
 
+def group_order(space) -> int:
+    """|O(n, F_p)| of the space, from its closed form (p odd):
+
+        n = 2m + 1:  2 p^(m^2) prod_{i=1..m} (p^(2i) - 1)
+        n = 2m > 0:  2 p^(m(m-1)) (p^m - e) prod_{i=1..m-1} (p^(2i) - 1)
+
+    with e the Legendre symbol of (-1)^m det G mod p (e = +1 for the split
+    form).  The reflections generate O(n, F_p) (Cartan-Dieudonne), so this
+    is the size of the census ``enumerate_group`` finds.
+    """
+    p, n = space.field.p, space.dim
+    if not n:
+        return 1
+    m = n // 2
+    if n % 2:
+        order = 2 * p ** (m * m)
+    else:
+        e = 1 if space.field.is_square((-1) ** m * space.gram.det()) else -1
+        order = 2 * p ** (m * (m - 1)) * (p ** m - e)
+        m -= 1
+    for i in range(1, m + 1):
+        order *= p ** (2 * i) - 1
+    return order
+
+
 def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     """BFS closure of the reflections; records word lengths from the identity.
 
@@ -116,12 +141,15 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     distinct columns of the elements it multiplied: at most n |G| codes, and
     at most the vectors v with Q(v) among the Q(e_j), since an isometry
     keeps Q(g e_j) = Q(e_j).  There is never an eager p^n table, and no
-    matrix is boxed.  Raises TooLarge once more than ``cap`` elements are
-    found.
+    matrix is boxed.  Raises TooLarge when ``group_order(space)`` exceeds
+    ``cap``, before any point is listed: listing the lines alone takes
+    (p^n - 1)/(p - 1) steps.
     """
     field = space.field
     if not isinstance(field, PrimeField):
         raise TypeError("group enumeration needs a finite field")
+    if group_order(space) > cap:
+        raise TooLarge("group exceeds the cap of %d elements" % cap)
     p, n = field.p, space.dim
     polar = space.polar_matrix._int_form()[0]
     tables = [_ColumnImages(_reflection_product_mod(p, polar, [[x.value for x in v]]), p)
@@ -136,8 +164,6 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
             if h not in lengths:
                 lengths[h] = d
                 order.append(h)
-                if len(order) > cap:
-                    raise TooLarge("group exceeds the cap of %d elements" % cap)
     return GroupCensus(space, tuple(order), lengths)
 
 

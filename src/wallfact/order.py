@@ -71,23 +71,28 @@ def admissible_subspaces(f, cap=DEFAULT_SUBSPACE_CAP):
     chi-complement of U is zero or not totally singular, and (iii) the Wall
     form of f restricts non-degenerately to U.
     """
-    space = f.space
-    if not isinstance(space.field, PrimeField):
+    if not isinstance(f.space.field, PrimeField):
         raise TypeError("admissible subspaces are enumerated over finite fields only")
     if not is_minimal(f):
         raise ValueError("admissible subspaces are defined for minimal isometries")
-    wd = wall_form(f)
-    out = []
+    return [U for U, _ in _admissible_restrictions(wall_form(f), cap)]
+
+
+def _admissible_restrictions(wd, cap):
+    """(U, wd.restrict(U)) for the admissible subspaces U of a minimal
+    isometry over F_p with Wall form wd: one restriction per U, shared by
+    the non-degeneracy test (iii) and the caller."""
+    space = wd.space
     for U in enumerate_subspaces(wd.subspace, cap):
         if U.dim and space.is_totally_singular(U):
             continue
         comp = wd.right_complement(U)
         if comp.dim and space.is_totally_singular(comp):
             continue
-        if U.dim and not wd.restrict(U).det():
+        chi = wd.restrict(U)
+        if U.dim and not chi.det():
             continue
-        out.append(U)
-    return out
+        yield U, chi
 
 
 @dataclass
@@ -241,9 +246,9 @@ def interval(f, cap=DEFAULT_SUBSPACE_CAP) -> IntervalPoset:
     if is_minimal(f):
         B = space.polar_matrix
         ranked = []
-        for U in admissible_subspaces(f, cap=cap):
+        for U, chi in _admissible_restrictions(wd, cap):
             basis = U.basis_matrix()
-            ranked.append((U.dim, _from_admissible(space, basis, basis @ B, wd.restrict(U))))
+            ranked.append((U.dim, _from_admissible(space, basis, basis @ B, chi)))
         return _build_poset(f, ranked)
     identity = Isometry.identity(space)
     mov = moved_space(f)

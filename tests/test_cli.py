@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wallfact import factor as factor_mod
-from wallfact.cli import main
+from wallfact.cli import build_parser, main
 from wallfact.factor import Factorization
 from wallfact.linalg import Matrix
 
@@ -320,3 +320,102 @@ class TestDeterminism:
         code = main(["length", "--form", form, "--isometry", rot, "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text()) == {"length": 2}
+
+
+def invoke(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def first_in_process(capsys, argv):
+    """What ``invoke`` gives when the call is the first one to build the parser."""
+    build_parser.cache_clear()
+    return invoke(capsys, argv)
+
+
+class TestParserBuiltOnce:
+    """``main`` reuses one parser per process, and no call sees another's
+    options or prints other bytes than a first call would."""
+
+    def test_no_option_leaks_between_calls(self, tmp_path, capsys, lorentz_files, f3_files):
+        form, boost = lorentz_files
+        f3_form, rot, _ = f3_files
+        identity = write(tmp_path, "id3.json", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        out = tmp_path / "leq.json"
+        dot = tmp_path / "describe.dot"
+        calls = [
+            ["leq", "--form", form, "--isometry", identity, "--isometry", boost,
+             "--out", str(out)],
+            ["length", "--form", form, "--isometry", boost],
+            ["factor", "--positive", "--form", form, "--isometry", boost],
+            ["factor", "--form", form, "--isometry", boost],
+            ["interval", "--describe", "--form", form, "--isometry", boost,
+             "--cap", "1", "--dot", str(dot)],
+            ["interval", "--form", f3_form, "--isometry", rot],
+        ]
+        fresh = [first_in_process(capsys, argv) for argv in calls]
+        assert json.loads(out.read_text()) == {"leq": True}
+        out.unlink()
+        build_parser.cache_clear()
+        in_turn = [invoke(capsys, argv) for argv in calls]
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [0] * len(calls)
+        assert in_turn[0][1] == "" and json.loads(out.read_text()) == {"leq": True}
+        assert json.loads(in_turn[1][1]) == {"length": 2}
+        assert json.loads(in_turn[2][1])["positive"] is True
+        assert "positive" not in json.loads(in_turn[3][1])
+        assert json.loads(in_turn[4][1])["type"] == "hyperbolic"
+        assert "covers" in json.loads(in_turn[5][1])        # no --describe, no --cap 1
+        assert not dot.exists()
+        assert build_parser.cache_info().misses == 1
+
+    def test_parsed_options_do_not_persist(self):
+        parser = build_parser()
+        two = parser.parse_args(["leq", "--isometry", "a", "--isometry", "b", "--out", "o"])
+        one = parser.parse_args(["length", "--isometry", "c"])
+        assert two.isometry == ["a", "b"] and one.isometry == ["c"] and one.out is None
+        on = parser.parse_args(["interval", "--describe", "--dot", "d", "--cap", "3"])
+        off = parser.parse_args(["interval"])
+        assert (off.describe, off.dot, off.cap) == (False, None, None)
+        assert parser.parse_args(["factor", "--positive"]).positive
+        assert not parser.parse_args(["factor"]).positive
+        assert on.isometry is None and off.isometry is None
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [command, "--help"] for command in
+        ["length", "factor", "spinor", "classify", "leq", "interval", "oracle", "verify"]] + [
+        [], ["bogus"], ["oracle", "--cap", "x"]])
+    def test_help_and_usage_after_an_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = first_in_process(capsys, argv)
+        assert invoke(capsys, ["oracle", "--check", "bad"])[0] == 2
+        assert invoke(capsys, argv) == first
+        code, out, err = first
+        if "--help" in argv:
+            assert code == 0 and out.startswith("usage: wallfact") and not err
+        else:
+            assert code == 2 and not out and err.startswith("usage: wallfact")
+
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = first_in_process(capsys, ["oracle", "--help"])
+        monkeypatch.setenv("COLUMNS", "60")
+        narrow = invoke(capsys, ["oracle", "--help"])
+        assert narrow == first_in_process(capsys, ["oracle", "--help"])
+        assert len(narrow[1].splitlines()) > len(wide[1].splitlines())
+
+    def test_parser_is_built_once(self, capsys, f3_files):
+        form, rot, refl = f3_files
+        build_parser.cache_clear()
+        for _ in range(20):
+            assert main(["length", "--form", form, "--isometry", rot]) == 0
+            assert main(["leq", "--form", form, "--isometry", refl, "--isometry", rot]) == 0
+            invoke(capsys, ["--help"])
+        capsys.readouterr()
+        assert build_parser.cache_info().misses == 1
+        assert build_parser.cache_info().hits == 59

@@ -8,8 +8,9 @@ from wallfact import (Fp, GroupCensus, Isometry, NotIsometry, PrimeField,
                       exhaustive_isometries, moved_space, reflection_length,
                       verify_intervals, verify_length_formula,
                       verify_spinor_homomorphism, verify_wall_bijection)
+import wallfact.oracle as oracle_mod
 from wallfact.cli import main
-from wallfact.oracle import (census_cache_key, load_census, reflection_generators,
+from wallfact.oracle import (census_cache_key, group_order, load_census, reflection_generators,
                              save_census, verify_order_against_lengths)
 from wallfact import is_minimal
 
@@ -82,6 +83,44 @@ class TestGroupOrders:
     def test_cap(self, f3):
         with pytest.raises(TooLarge):
             enumerate_group(diagonal_space(f3, [1, 1, 1]), cap=10)
+
+
+class TestClosedFormOrder:
+    """``oracle.group_order`` is the size of the census, and refuses a group
+    past the cap before any point is listed."""
+
+    @pytest.mark.parametrize("p,form,order", [
+        (3, [], 1), (3, [1], 2),
+        (3, [1, 1], 8), (3, [1, 2], 4),                # O-(2, F_3), O+(2, F_3)
+        (5, [1, 1], 8), (5, [1, 2], 12),               # O+(2, F_5), O-(2, F_5)
+        (3, [1, 1, 1], 48), (5, [1, 1, 1], 240),
+        (3, [1, 1, -1, -1], 1152), (3, [1, 1, 1, -1], 1440),
+    ])
+    def test_formula_is_the_census_size(self, p, form, order):
+        space = diagonal_space(PrimeField(p), form)
+        assert group_order(space) == order == len(enumerate_group(space))
+
+    @pytest.fixture
+    def no_points(self, monkeypatch):
+        def refuse(space):
+            raise AssertionError("a point was listed past the cap")
+        monkeypatch.setattr(oracle_mod, "_generator_points", refuse)
+
+    @pytest.mark.parametrize("p,n", [(10007, 3), (2 ** 61 - 1, 2)])
+    def test_large_p_is_refused_before_listing(self, no_points, p, n):
+        with pytest.raises(TooLarge, match="cap of 1 elements"):
+            enumerate_group(diagonal_space(PrimeField(p), [1] * n), cap=1)
+        with pytest.raises(TooLarge, match="cap of 100000 elements"):
+            enumerate_group(diagonal_space(PrimeField(p), [1] * n))
+
+    def test_cli_exits_one_at_once(self, no_points, capsys):
+        import time
+        start = time.perf_counter()
+        code = main(["oracle", "--field", "10007", "--dim", "3", "--cap", "1"])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"] == "TooLarge"
+        assert elapsed < 1.0
 
 
 class TestColumnCodeSearch:

@@ -620,3 +620,29 @@ class TestCandidateBudget:
         assert len(codimension_one_overspaces(f)) * order_mod.wall_candidate_count(3, 3) < 10 ** 6
         with pytest.raises(TooLarge):
             interval(f, cap=100)
+
+
+class TestOneRestrictionPerSubspace:
+    """The minimal branch of ``interval`` restricts the Wall form once per
+    admissible U, and builds the element from that same restriction."""
+
+    def test_restriction_count(self, monkeypatch):
+        import wallfact.wall as wall_mod
+        space = diagonal_space(PrimeField(3), [1, 1, -1, -1])
+        f = space.reflection([1, 0, 0, 0]) @ space.reflection([0, 1, 0, 0]) @ \
+            space.reflection([0, 0, 1, 0])
+        assert is_minimal(f)
+        calls = []
+        real = wall_mod.WallData.restrict
+
+        def restrict(self, U):
+            calls.append(U)
+            return real(self, U)
+
+        monkeypatch.setattr(wall_mod.WallData, "restrict", restrict)
+        poset = interval(f)
+        assert len(poset) == 20
+        assert len(calls) == 20          # one per admissible U, that is per element
+        assert sorted(map(_sort_key, poset.elements)) == sorted(
+            _sort_key(isometry_from_wall(space, U, real(wall_form(f), U)))
+            for U in admissible_subspaces(f))
