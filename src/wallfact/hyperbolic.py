@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .factor import Factorization
 from .field import QQ
-from .linalg import Matrix, Subspace, combine, kernel, solve, subspace_intersection, vec_scale
+from .linalg import Matrix, Subspace, kernel, solve, subspace_intersection, vec_scale
 from .positive import is_positive_isometry
 from .quadspace import Isometry, QuadraticSpace, diagonal_space
 from .wall import (CertificateError, fixed_space, isometry_from_wall, moved_space,
@@ -122,10 +122,11 @@ def hyperbolic_positive_factorization(f) -> Factorization:
                 raise CertificateError("the moved line of a positive isometry is not positive")
             vectors.append(u)
             break
-        # the coordinates a with sum a_i b_i[-1] = 0 on the basis rows b_i
-        last = Matrix._of(field, (tuple(b[-1] for b in mov.basis),), mov.dim)
-        meet = Subspace(field, n,
-                        combine(field, kernel(last).basis_matrix(), mov.basis_matrix(), n))
+        # the coordinates a with sum a_i b_i[-1] = 0 on the basis rows b_i,
+        # mapped back by the basis matrix B
+        B = mov.basis_matrix()
+        last = B.submatrix(range(mov.dim), [n - 1]).transpose()
+        meet = Subspace._span(field, n, (kernel(last).basis_matrix() @ B)._int_form()[0])
         if meet.dim < mov.dim - 1:
             raise CertificateError("the moved space meets x_{n+1} = 0 in dimension %d, "
                                    "expected at least %d" % (meet.dim, mov.dim - 1))

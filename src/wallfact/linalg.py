@@ -52,6 +52,12 @@ the kernel forms (A^T G A = d^2 G for A = d M, G = s S, mod p over F_p)
 without building a product matrix.
 
 The coordinate layer goes through a few helpers built on those kernels.
+Coordinates on a subspace are one map, ``Subspace._coordinates(V)`` for a
+Matrix V of rows: the basis B is reduced echelon, so B[:, P] = I on its
+pivot columns P, the coordinates of V are the columns V[:, P], and one
+product checks membership, V lies in the subspace exactly when
+V[:, P] B = V.  ``coordinates_of``, ``contains`` and ``is_contained_in``
+call it, the last with the whole basis matrix of the smaller subspace.
 ``bilinear_value(X, u, v)`` is the one evaluator of a bilinear form in
 coordinates, u X v^T, one int dot product on the kernel form of X;
 ``restrict_bilinear(X, rows)`` is the one restriction of a form, the matrix
@@ -59,14 +65,15 @@ C X C^T on coordinate rows C; and ``combine(field, coords, rows, ncols)`` is
 the one row combination, the rows of C B for coordinate rows C and basis
 rows B, as a matrix product.  Coordinates on a subspace map back to ambient
 vectors, and vectors found in a complement map back to the coordinates of
-the larger form, through ``combine``.  ``restrict_bilinear``, ``combine``
-and ``solve_all`` take a Matrix wherever they take rows, a Subspace's basis
-matrix say, and then read its kept kernel form, so a basis is never boxed
-into field elements and converted back.  ``RightComplement(X, u)`` is the
-complement of one vector, {y : u X y^T = 0}, in its reduced echelon basis:
-X on it is one rank-one update of the kernel form of X, O(m^2), and its
-coordinates map back in O(m) per row, so the triangular bases of
-``factor`` run no matrix product.
+the larger form, by that product: ``combine`` where field elements are
+wanted, ``C @ B`` on kernel rows where a Subspace is.
+``restrict_bilinear``, ``combine`` and ``solve_all`` take a Matrix wherever
+they take rows, a Subspace's basis matrix say, and then read its kept
+kernel form, so a basis is never boxed into field elements and converted
+back.  ``RightComplement(X, u)`` is the complement of one vector,
+{y : u X y^T = 0}, in its reduced echelon basis: X on it is one rank-one
+update of the kernel form of X, O(m^2), and its coordinates map back in
+O(m) per row, so the triangular bases of ``factor`` run no matrix product.
 """
 
 from __future__ import annotations
@@ -942,10 +949,6 @@ def vec_scale(c, v):
     return tuple(c * a for a in v)
 
 
-def is_zero_vector(v):
-    return all(not x for x in v)
-
-
 def solve(A, b):
     """A particular solution x of A x = b, or None when none exists."""
     xs = solve_all(A, [b])
@@ -1019,12 +1022,12 @@ def det(A):
 
 class Subspace:
     """A linear subspace, kept as its basis matrix: the reduced row echelon
-    form of its row span, which _rref and _echelon_form give in kernel form.
-    It is canonical, so two subspaces are equal (and hash alike) exactly
-    when they describe the same subspace.  ``basis`` is that matrix's
-    entries, boxed on first read."""
+    form of its row span, which _rref and _echelon_form give in kernel form,
+    with its pivot columns.  It is canonical, so two subspaces are equal
+    (and hash alike) exactly when they describe the same subspace.
+    ``basis`` is that matrix's entries, boxed on first read."""
 
-    __slots__ = ("field", "ambient_dim", "_matrix")
+    __slots__ = ("field", "ambient_dim", "_matrix", "_pivots")
 
     def __init__(self, field, ambient_dim, vectors=()):
         vectors = [tuple(map(field, v)) for v in vectors]
@@ -1044,8 +1047,8 @@ class Subspace:
     def _reduce(self, field, ambient_dim, rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._matrix = Matrix._of_int(field, *_echelon_form(*_rref(field, rows, ambient_dim)),
-                                      ambient_dim)
+        reduced, self._pivots = _rref(field, rows, ambient_dim)
+        self._matrix = Matrix._of_int(field, *_echelon_form(reduced, self._pivots), ambient_dim)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -1067,32 +1070,28 @@ class Subspace:
     def basis_matrix(self):
         return self._matrix
 
+    def _coordinates(self, V):
+        """The coordinate rows C of the rows of the Matrix V in the basis B,
+        or None when some row lies outside.  B is reduced echelon, so
+        B[:, P] = I for its pivot columns P: C is V[:, P], and V lies in the
+        subspace exactly when C B = V, compared on the kernel forms."""
+        if V.rows and V.cols != self.ambient_dim:
+            raise DimensionMismatch("vector of length %d in ambient dimension %d"
+                                    % (V.cols, self.ambient_dim))
+        C = V.submatrix(range(V.rows), self._pivots)
+        return C if (C @ self._matrix)._int_form() == V._int_form() else None
+
     def contains(self, v):
         return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v):
         """Coefficients of v in the canonical basis, or None if v is outside."""
         v = tuple(map(self.field, v))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector of length %d in ambient dimension %d"
-                                    % (len(v), self.ambient_dim))
-        if not self.dim:
-            return () if is_zero_vector(v) else None
-        # the basis is RREF, so coefficients can be read off the pivot entries
-        coords = []
-        residue = list(v)
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
-            c = residue[pivot]
-            coords.append(c)
-            if c:
-                residue = [a - c * b for a, b in zip(residue, row)]
-        if not all(not x for x in residue):
-            return None
-        return tuple(coords)
+        C = self._coordinates(Matrix._of(self.field, (v,), len(v)))
+        return None if C is None else C.entries[0]
 
     def is_contained_in(self, other):
-        return all(other.contains(v) for v in self.basis)
+        return other._coordinates(self._matrix) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -1168,6 +1167,8 @@ def enumerate_subspaces(of_space, cap=DEFAULT_SUBSPACE_CAP):
     Iterates RREF patterns (pivot-column sets times free-entry assignments)
     in the coordinate space of of_space, so the output is duplicate-free by
     construction, ordered by dimension, then pivot columns, then entries.
+    Each pattern is written as residue rows and mapped into the ambient
+    space by one product with the basis matrix of of_space.
     """
     field = of_space.field
     if not isinstance(field, PrimeField):
@@ -1176,17 +1177,17 @@ def enumerate_subspaces(of_space, cap=DEFAULT_SUBSPACE_CAP):
     total = count_subspaces(d, field.p)
     if total > cap:
         raise TooLarge("%d subspaces exceeds the cap of %d" % (total, cap))
-    scalars = list(field.elements())
-    amb = of_space.ambient_dim
+    B, amb, p = of_space.basis_matrix(), of_space.ambient_dim, field.p
     for k in range(d + 1):
         for pivots in itertools.combinations(range(d), k):
             pivot_set = set(pivots)
             free_positions = [(i, c) for i in range(k) for c in range(pivots[i] + 1, d)
                               if c not in pivot_set]
-            for assignment in itertools.product(scalars, repeat=len(free_positions)):
-                rows = [[field.zero] * d for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = field.one
+            for assignment in itertools.product(range(p), repeat=len(free_positions)):
+                rows = [[0] * d for _ in range(k)]
+                for i, c in enumerate(pivots):
+                    rows[i][c] = 1
                 for (i, c), val in zip(free_positions, assignment):
                     rows[i][c] = val
-                yield Subspace(field, amb, combine(field, rows, of_space.basis_matrix(), amb))
+                pattern = Matrix._of_int(field, rows, 1, d)
+                yield Subspace._span(field, amb, (pattern @ B)._int_form()[0])

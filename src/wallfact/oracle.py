@@ -35,9 +35,9 @@ from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (Matrix, TooLarge, _forward, _is_symmetric, _reflection_product_mod,
-                     projective_points)
-from .order import admissible_subspaces, less_equal
+from .linalg import (DEFAULT_SUBSPACE_CAP, Matrix, TooLarge, _forward, _is_symmetric,
+                     _reflection_product_mod, projective_points)
+from .order import _admissible_restrictions, less_equal
 from .quadspace import Isometry, NotIsometry
 from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
 
@@ -394,11 +394,11 @@ def brute_force_interval(census, f):
 def verify_intervals(census, f) -> VerificationReport:
     """Definition-based interval against the admissible-subspace image (minimal f)."""
     space = census.space
-    wd = wall_form(f)
+    if not is_minimal(f):
+        raise ValueError("admissible subspaces are defined for minimal isometries")
     image_keys = set()
-    for U in admissible_subspaces(f):
-        g = isometry_from_wall(space, U, wd.restrict(U))
-        image_keys.add(g.key())
+    for U, chi in _admissible_restrictions(wall_form(f), DEFAULT_SUBSPACE_CAP):
+        image_keys.add(isometry_from_wall(space, U, chi).key())
     defn_keys = {g.key() for g in brute_force_interval(census, f)}
     violations = []
     for k in defn_keys - image_keys:

@@ -34,6 +34,13 @@ dim U + 2 when U is totally singular and dim U otherwise.  That is decided
 once per U; the filter l(g) + l(g^-1 f) = l(f) then needs only
 ``reflection_distance(g, f)`` per candidate.
 
+Subspaces stay on kernel rows throughout.  ``enumerate_subspaces`` maps
+each echelon pattern into Mov(f), or into an overspace W, by one product
+with its basis matrix.  The restriction chi_f|_U, the chi-complement of U
+and the test that a candidate U lies inside Mov(f) all take the
+coordinates of U's whole basis matrix at once, read off the pivot columns
+of the larger basis and checked by one product (``Subspace._coordinates``).
+
 The candidates are counted before any is built.  A subspace U of W of
 dimension k carries p^(k(k-1)/2) candidate Wall forms (the strictly upper
 entries of chi are free), so the overspaces give
@@ -209,8 +216,7 @@ def codimension_one_overspaces(f):
     space = f.space
     field, n = space.field, space.dim
     mov = moved_space(f)
-    pivots = {next(c for c, x in enumerate(row) if x) for row in mov.basis}
-    free = [c for c in range(n) if c not in pivots]
+    free = [c for c in range(n) if c not in mov._pivots]
     out = []
     for point in projective_points(field, len(free)):
         line = dict(zip(free, point))

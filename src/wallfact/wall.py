@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Subspace, column_basis, combine, image, kernel, restrict_bilinear,
-                     solve_all)
+from .linalg import Matrix, Subspace, column_basis, image, kernel, restrict_bilinear, solve_all
 from .quadspace import DegenerateForm, Isometry
 
 # re-exported: the isometry wrapper lives with the quadratic space
@@ -90,9 +89,12 @@ class WallData:
     builds, kept so that coordinates are read off its RREF basis without
     another elimination; ``basis`` is its basis matrix.  The canonical basis
     makes WallData equality meaningful: equal isometries give equal
-    WallData.  Vectors of Mov(f) enter the coordinate layer through
-    ``coordinates_of``; coordinate rows go back to ambient vectors through
-    ``linalg.combine`` with the basis matrix.
+    WallData.  Vectors of Mov(f) enter the coordinate layer through the one
+    coordinate map of the subspace (``Subspace._coordinates``): a vector
+    through ``coordinates_of``, and the rows of a matrix, the basis matrix of
+    a subspace U say, at once through ``_coord_rows``, which ``restrict``,
+    the complements and ``check_wall_properties`` use.  Coordinate rows go
+    back to ambient vectors by a product with the basis matrix.
     """
 
     __slots__ = ("space", "subspace", "chi")
@@ -116,19 +118,22 @@ class WallData:
             raise ValueError("vector is not in the moved space")
         return coords
 
-    def _coord_rows(self, vectors):
-        return Matrix(self.space.field, [self.coordinates_of(v) for v in vectors],
-                      cols=self.dim)
+    def _coord_rows(self, V):
+        """The coordinate rows of the rows of the Matrix V, as a Matrix."""
+        C = self.subspace._coordinates(V)
+        if C is None:
+            raise ValueError("vector is not in the moved space")
+        return C
 
     def restrict(self, U):
         """Matrix of chi on the canonical basis of a subspace U of Mov(f)."""
-        return restrict_bilinear(self.chi, [self.coordinates_of(u) for u in U.basis])
+        return restrict_bilinear(self.chi, self._coord_rows(U.basis_matrix()))
 
     def _complement(self, U, X):
         """{v in Mov : u X v^T = 0 for all u in U}, as an ambient Subspace."""
-        field, n = self.space.field, self.space.dim
-        coords = kernel(self._coord_rows(U.basis) @ X).basis_matrix()
-        return Subspace(field, n, combine(field, coords, self.basis, n))
+        coords = kernel(self._coord_rows(U.basis_matrix()) @ X).basis_matrix()
+        return Subspace._span(self.space.field, self.space.dim,
+                              (coords @ self.basis)._int_form()[0])
 
     def right_complement(self, U):
         """{v in Mov : chi(u, v) = 0 for all u in U}."""
@@ -311,13 +316,12 @@ def check_wall_properties(f, g) -> CheckReport:
     """
     space = f.space
     wd = wall_form(f)
-    basis = wd.subspace.basis
     checks = {}
 
     checks["symmetrization_is_polar"] = (
-        wd.chi + wd.chi.transpose() == space.polar_gram_on(basis))
+        wd.chi + wd.chi.transpose() == space.polar_gram_on(wd.basis))
 
-    C_f = wd._coord_rows([f.apply(u) for u in basis])
+    C_f = wd._coord_rows(wd.basis @ f.matrix.transpose())     # the rows f(u_i)
     checks["twist_identity"] = C_f @ wd.chi == -wd.chi.transpose()
 
     wi = wall_form(f.inverse())
@@ -326,10 +330,10 @@ def check_wall_properties(f, g) -> CheckReport:
 
     h = g @ f @ g.inverse()
     wh = wall_form(h)
-    g_basis = [g.apply(u) for u in basis]
-    ok = wh.subspace == Subspace(space.field, space.dim, g_basis)
+    g_basis = wd.basis @ g.matrix.transpose()                # the rows g(u_i)
+    ok = wh.subspace == Subspace._span(space.field, space.dim, g_basis._int_form()[0])
     if ok:
-        ok = restrict_bilinear(wh.chi, [wh.coordinates_of(v) for v in g_basis]) == wd.chi
+        ok = restrict_bilinear(wh.chi, wh._coord_rows(g_basis)) == wd.chi
     checks["conjugation_transports"] = ok
 
     checks["symmetric_iff_involution"] = (wd.is_symmetric() == f.is_involution())

@@ -330,6 +330,35 @@ class TestVerifications:
         assert data["violations"] == 0 and data["checked"] == 8
 
 
+class TestVerifyIntervalsRestrictsOnce:
+    """``verify_intervals`` restricts the Wall form once per admissible U and
+    builds the image element from that same restriction."""
+
+    def test_restriction_count(self, census_f3_d4, monkeypatch):
+        import wallfact.wall as wall_mod
+        census = census_f3_d4
+        space = census.space
+        f = space.reflection([1, 0, 0, 0]) @ space.reflection([0, 1, 0, 0]) @ \
+            space.reflection([0, 0, 1, 0])
+        assert is_minimal(f)
+        calls = []
+        real = wall_mod.WallData.restrict
+
+        def restrict(self, U):
+            calls.append(U)
+            return real(self, U)
+
+        monkeypatch.setattr(wall_mod.WallData, "restrict", restrict)
+        report = verify_intervals(census, f)
+        assert len(calls) == 20          # one per admissible U, that is per element
+        assert report.ok and report.checked == 40
+
+    def test_non_minimal_refused(self, census_f3_d4):
+        f = next(g for g in census_f3_d4.elements if not is_minimal(g))
+        with pytest.raises(ValueError, match="defined for minimal isometries"):
+            verify_intervals(census_f3_d4, f)
+
+
 def reference_expected_length(f):
     """The per-element rule the residue check replaced: dim Mov(f), plus 2
     when Mov(f) is totally singular, from the boxed moved space."""
