@@ -35,7 +35,10 @@ echelon form of a matrix has the pivots of its row span.  So
 and ``column_basis(A)``, the kernel on the rows of A^T, gives the columns J
 of A that are a basis of its column space, with the pivots P of
 ``image(A)`` and det A[P][J] up to sign, from one elimination with no back
-substitution.  Outside them three small conversions differ: field elements to
+substitution.  The census of ``oracle`` eliminates mod p one row at a
+time instead, with ``_echelon_step_mod``, so that the state after a
+prefix of rows can be shared between matrices that start with the same
+rows.  Outside them three small conversions differ: field elements to
 kernel form, the canonical form, and kernel scalars back to field elements.
 ``_rref`` returns canonical rows (primitive with a positive pivot entry over
 Q, pivot entry 1 over F_p), and ``_echelon_form`` turns them into the kernel
@@ -463,6 +466,29 @@ def _rank_one_mod(p, A, B):
             if any((lc * (x - y) - rc * l) % p for x, y, l in zip(a, b, lead)):
                 return False
     return lead is not None
+
+
+def _echelon_step_mod(p, echelon, row):
+    """``echelon`` extended by the residue row ``row`` reduced against it:
+    a new tuple with the reduced row appended, scaled to lead with 1, or
+    ``echelon`` itself when the row reduces to zero.
+
+    ``echelon`` is a tuple of (pivot column c, row) pairs in the order they
+    were appended; each row has 1 at c and 0 at every earlier pivot, since
+    it was reduced against the rows before it.  So one pass in that order
+    clears every pivot column of ``row``, and the rank of the rows fed in
+    is ``len(echelon)``.  The input tuple is never changed, so states can
+    be shared between callers.
+    """
+    for c, e in echelon:
+        t = row[c]
+        if t:
+            row = [(x - t * y) % p for x, y in zip(row, e)]
+    for c, x in enumerate(row):
+        if x:
+            inv = pow(x, p - 2, p)
+            return echelon + ((c, [y * inv % p for y in row]),)
+    return echelon
 
 
 def _check_same_field(a, b):

@@ -12,30 +12,38 @@ acts on each column separately, (r g)[:, j] = r (g[:, j]), and v -> r v is a
 bijection of F_p^n.  So an element is the tuple of its n column codes (a
 column as a base-p integer), r g is n lookups in a table of r's action on
 codes, filled as columns are met, and word lengths are keyed by code
-tuples.  The length formula is checked on the int residues of the columns,
-with dim Mov(g) read off one forward elimination mod p
-(``linalg._forward``), and the census cache (format 3) stores the codes.  Boxed ``Isometry``
-objects are built once per element, only when a caller asks for
-``GroupCensus.elements``, and the reflections on first use of
-``GroupCensus.reflections``.
+tuples.  The search runs one BFS level at a time: each level is split into
+its n columns once, every column goes through each reflection's table in
+one ``map``, and the images are zipped back into code tuples, so the
+per-product work runs in C and the order of the search is that of the
+element-by-element queue.  The length formula is checked on the int
+residues of the columns, with dim Mov(g) read off an elimination mod p
+whose state after the first j rows is shared by every element with the
+same first j column codes (``linalg._echelon_step_mod``).  The census cache
+(format 3) stores the codes.  Boxed ``Isometry`` objects are built once per
+element, only when a caller asks for ``GroupCensus.elements``, and the
+reflections on first use of ``GroupCensus.reflections``.
 
 Loading a cache file checks every element against the form on a pair
 table: G v mod p is kept per column code and v_i^T G v_j mod p per
 distinct pair of codes, and each element compares the values of its pairs
 with G[i][j] at their positions (i <= j for a symmetric G).  A group has
 few distinct columns, so few distinct pairs: O(4, F_3) has about 600,
-against n^3 products per element for a direct check.
+against n^3 products per element for a direct check.  The file must also
+hold each element of the group once, as many as the closed-form
+``group_order``, with one non-negative int length each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, filterfalse
 from operator import mul
 
 from .factor import is_minimal
 from .field import PrimeField
-from .linalg import (DEFAULT_SUBSPACE_CAP, Matrix, TooLarge, _forward, _is_symmetric,
+from .linalg import (DEFAULT_SUBSPACE_CAP, Matrix, TooLarge, _echelon_step_mod, _is_symmetric,
                      _reflection_product_mod, projective_points)
 from .order import _admissible_restrictions, less_equal
 from .quadspace import Isometry, NotIsometry
@@ -137,6 +145,17 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     the search by products ``r @ g`` keyed by ``key()``, so ``codes`` and
     ``lengths`` are the ones that search finds.
 
+    The queue is worked one level (one word length d) at a time.  The level
+    is transposed into its n columns once; for each reflection the columns
+    are mapped through its table and zipped back into code tuples, and the
+    images are interleaved element-major (element by element, reflections
+    in order within each), the (g, r) order of a FIFO queue.  They are
+    deduplicated in that order by ``dict.fromkeys``, and the codes already
+    in ``lengths`` dropped; what is left is level d + 1 in the order the
+    queue would append it.  Everything is consumed lazily, so the tables
+    see their lookups, and fill, in the queue's order too, and the
+    candidates held at once are distinct elements of the group.
+
     Each reflection's table is filled on first lookup, so it holds only the
     distinct columns of the elements it multiplied: at most n |G| codes, and
     at most the vectors v with Q(v) among the Q(e_j), since an isometry
@@ -157,13 +176,15 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     identity = tuple(p ** (n - 1 - j) for j in range(n))    # codes of e_0 .. e_{n-1}
     lengths = {identity: 0}
     order = [identity]
-    for g in order:                 # the list grows behind the cursor: it is the queue
-        d = lengths[g] + 1
-        for table in tables:
-            h = tuple(map(table.__getitem__, g))
-            if h not in lengths:
-                lengths[h] = d
-                order.append(h)
+    level, d = [identity], 0
+    while level:
+        d += 1
+        columns = tuple(zip(*level))
+        images = [zip(*[map(table.__getitem__, col) for col in columns]) for table in tables]
+        candidates = dict.fromkeys(chain.from_iterable(zip(*images)))
+        level = list(filterfalse(lengths.__contains__, candidates))
+        lengths.update(dict.fromkeys(level, d))
+        order += level
     return GroupCensus(space, tuple(order), lengths)
 
 
@@ -282,8 +303,13 @@ def verify_length_formula(census) -> VerificationReport:
     for every element g, on the int residues of its columns.
 
     Mov(g) = im(g - I), so dim Mov(g) = rank(g - I), the rank of the n rows
-    g e_j - e_j: one forward elimination mod p (``linalg._forward``) per
-    element, which counts the pivots without reducing above them.
+    g e_j - e_j, reduced mod p one row at a time
+    (``linalg._echelon_step_mod``).  Row j depends only on the j-th column
+    code of g, so the echelon state after rows 0 .. j depends only on the
+    prefix g[:j + 1]; the states of the prefixes of length < n are kept in
+    a dict and shared by every element that starts with them, and only the
+    last row is reduced once per element.  The elimination is exact and
+    independent of the BFS: it reads nothing but the codes.
 
     Mov(g) is totally singular when Q vanishes on it, that is (char != 2)
     when the polar form does: (g - I)^T S (g - I) = 0.  As g^T S g = S,
@@ -303,18 +329,27 @@ def verify_length_formula(census) -> VerificationReport:
     twice_s = [[2 * x % p for x in row] for row in S]
     upper = [(i, j) for j in range(n) for i in range(j + 1)]
     columns = {}                    # code -> (S v, [v - e_j for each j]) on residues
+    states = {(): ()}               # code prefix g[:j] -> echelon of rows 0 .. j-1
+
+    def column(code):
+        v = _digits(code, p, n)
+        col = columns[code] = ([sum(map(mul, row, v)) % p for row in S],
+                               [[(x - (i == j)) % p for i, x in enumerate(v)]
+                                for j in range(n)])
+        return col
+
     violations = []
     for g in census.codes:
-        cols = []
-        for code in g:
-            col = columns.get(code)
-            if col is None:
-                v = _digits(code, p, n)
-                col = columns[code] = ([sum(map(mul, row, v)) % p for row in S],
-                                       [[(x - (i == j)) % p for i, x in enumerate(v)]
-                                        for j in range(n)])
-            cols.append(col)
-        dim = len(_forward(space.field, [col[1][j] for j, col in enumerate(cols)], n)[0])
+        cols = [columns.get(code) or column(code) for code in g]
+        echelon = states.get(g[:-1])
+        if echelon is None:         # first element with this prefix: fill the missing states
+            echelon = ()
+            for j in range(n - 1):
+                prefix = g[:j + 1]
+                if prefix not in states:
+                    states[prefix] = _echelon_step_mod(p, echelon, cols[j][1][j])
+                echelon = states[prefix]
+        dim = len(_echelon_step_mod(p, echelon, cols[-1][1][-1])) if n else 0
         if not dim:
             expected = 0
         elif all((cols[j][0][i] + cols[i][0][j] - twice_s[i][j]) % p == 0 for i, j in upper):
@@ -459,14 +494,22 @@ def census_cache_key(space):
 
 
 def save_census(census, path):
-    """Write the census's key, its code tuples in BFS order and their lengths."""
+    """Write the census's key, its code tuples in BFS order and their lengths.
+
+    The text is built by one ``json.dumps``, which runs the C encoder
+    (``json.dump`` streams through the pure-Python one) and gives the same
+    bytes.  The text is smaller than the census's own ``codes`` and
+    ``lengths``, which are in memory anyway; while it is built, the text
+    and its pieces take at most about twice what those do.
+    """
     import json
 
     data = census_cache_key(census.space)
     data["codes"] = census.codes
     data["lengths"] = [census.lengths[g] for g in census.codes]
+    text = json.dumps(data)
     with open(path, "w") as handle:
-        json.dump(data, handle)
+        handle.write(text)
 
 
 def load_census(space, path):
@@ -482,6 +525,13 @@ def load_census(space, path):
     element costs n(n + 1)/2 lookups.  The table keeps values, not
     verdicts, because a pair of columns can be valid at one position and
     not at another.  Raises NotIsometry on the first element that fails.
+
+    Raises NotIsometry too when the file is not a JSON object, when
+    ``codes`` or ``lengths`` is missing or not a list, when the number of
+    elements differs from the closed-form ``group_order(space)``, when the
+    lengths are not one non-negative int per element, or when an element
+    is stored twice.  Whether the lengths are the word lengths is left to
+    ``verify_length_formula``.
     """
     import json
     import os
@@ -490,9 +540,19 @@ def load_census(space, path):
         return None
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise NotIsometry("a census file holds a JSON object, not %s" % type(data).__name__)
     key = census_cache_key(space)
     if any(data.get(name) != value for name, value in key.items()):
         return None
+    stored, depths = data.get("codes"), data.get("lengths")
+    if not isinstance(stored, list) or not isinstance(depths, list):
+        raise NotIsometry("a census file needs a list of codes and a list of lengths")
+    order = group_order(space)
+    if len(stored) != order:
+        raise NotIsometry("%d elements stored for a group of order %d" % (len(stored), order))
+    if len(depths) != order or not all(type(d) is int and d >= 0 for d in depths):
+        raise NotIsometry("the lengths are not one non-negative int per element")
     p, n = space.field.p, space.dim
     size = p ** n
     G = space.gram._int_form()[0]
@@ -509,7 +569,7 @@ def load_census(space, path):
         return col
 
     codes = []
-    for g in data["codes"]:
+    for g in stored:
         if not isinstance(g, list) or len(g) != n:
             raise NotIsometry("%r is not %d column codes" % (g, n))
         for code in g:
@@ -523,4 +583,7 @@ def load_census(space, path):
             if value != target:
                 raise NotIsometry("matrix does not preserve the quadratic form")
         codes.append(tuple(g))
-    return GroupCensus(space, tuple(codes), dict(zip(codes, data["lengths"])))
+    lengths = dict(zip(codes, depths))
+    if len(lengths) != order:
+        raise NotIsometry("an element is stored twice")
+    return GroupCensus(space, tuple(codes), lengths)

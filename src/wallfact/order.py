@@ -31,8 +31,10 @@ of an overspace W not inside Mov(f), so U != 0, and every candidate g has
 Mov(g) = U.  By the length formula l(g) = dim Mov(g), plus 2 when Mov(g)
 is totally singular (``factor``), every candidate for U has length
 dim U + 2 when U is totally singular and dim U otherwise.  That is decided
-once per U; the filter l(g) + l(g^-1 f) = l(f) then needs only
-``reflection_distance(g, f)`` per candidate.
+once per U, off the polar Gram matrix (U B) U^T that the enumeration
+builds anyway (``wall._polar_gram``): in char != 2, Q vanishes on U
+exactly when beta does.  The filter l(g) + l(g^-1 f) = l(f) then needs
+only ``reflection_distance(g, f)`` per candidate.
 
 Subspaces stay on kernel rows throughout.  ``enumerate_subspaces`` maps
 each echelon pattern into Mov(f), or into an overspace W, by one product
@@ -62,8 +64,8 @@ from .field import PrimeField
 from .linalg import (DEFAULT_SUBSPACE_CAP, Subspace, TooLarge, _rank_one_mod,
                      enumerate_subspaces, gaussian_binomial, projective_points, subspace_sum)
 from .quadspace import Isometry
-from .wall import (CheckReport, _from_admissible, enumerate_isometries_with_moved_space,
-                   moved_space, wall_form)
+from .wall import (CheckReport, _from_admissible, _polar_gram, _wall_candidates, moved_space,
+                   wall_form)
 
 
 def less_equal(g, f) -> bool:
@@ -272,9 +274,12 @@ def interval(f, cap=DEFAULT_SUBSPACE_CAP) -> IntervalPoset:
                 # strict predecessors of a non-minimal f never keep their
                 # moved space inside Mov(f), and neither id nor f is outside
                 continue
-            # every candidate has moved space U != 0, hence this length
-            rank = U.dim + 2 if space.is_totally_singular(U) else U.dim
-            for g in enumerate_isometries_with_moved_space(space, U):
+            # every candidate has moved space U != 0, hence this length; in
+            # char != 2, Q vanishes on U exactly when its polar Gram matrix does
+            basis = U.basis_matrix()
+            UB, bgram = _polar_gram(space, basis)
+            rank = U.dim if any(map(any, bgram)) else U.dim + 2
+            for g in _wall_candidates(space, basis, UB, bgram):
                 if rank + reflection_distance(g, f) == length:
                     members.append(g)
                     ranked[g.key()] = (rank, g)

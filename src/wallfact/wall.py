@@ -347,20 +347,31 @@ def enumerate_isometries_with_moved_space(space, U):
     polar form), so only the strictly-upper entries range over the field;
     non-degenerate choices biject with the isometries.  Every such choice
     meets the diagonal and polar conditions, so U B and the polar Gram
-    matrix are computed once per U, each candidate chi is written straight
-    into its residue rows, and it goes to ``_from_admissible``.
+    matrix are computed once per U (``_polar_gram``), each candidate chi is
+    written straight into its residue rows, and it goes to
+    ``_from_admissible`` (``_wall_candidates``).
     """
+    if U.dim == 0:
+        yield Isometry.identity(space)
+        return
+    basis = U.basis_matrix()
+    yield from _wall_candidates(space, basis, *_polar_gram(space, basis))
+
+
+def _polar_gram(space, basis):
+    """U B and the residues of the polar Gram matrix (U B) U^T, for the row
+    basis U of a nonzero subspace over a prime field."""
+    UB = basis @ space.polar_matrix
+    return UB, (UB @ basis.transpose())._int_form()[0]
+
+
+def _wall_candidates(space, basis, UB, bgram):
+    """The isometries whose moved space has the row basis U = ``basis``,
+    given U B and the residues ``bgram`` of its polar Gram matrix."""
     import itertools
 
     field = space.field
-    k = U.dim
-    if k == 0:
-        yield Isometry.identity(space)
-        return
-    p = field.p
-    basis = U.basis_matrix()
-    UB = basis @ space.polar_matrix
-    bgram = (UB @ basis.transpose())._int_form()[0]     # residues of the polar Gram matrix
+    p, k = field.p, basis.rows
     half = (p + 1) // 2                                 # the inverse of 2 mod p
     qdiag = [bgram[i][i] * half % p for i in range(k)]  # Q(u_i) = beta(u_i, u_i) / 2
     positions = [(i, j) for i in range(k) for j in range(i + 1, k)]

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from wallfact import (Fp, GroupCensus, Isometry, NotIsometry, PrimeField,
+from wallfact import (Fp, GroupCensus, Isometry, Matrix, NotIsometry, PrimeField,
                       QuadraticSpace, TooLarge, diagonal_space, enumerate_group,
                       exhaustive_isometries, moved_space, reflection_length,
                       verify_intervals, verify_length_formula,
@@ -390,6 +390,8 @@ def hyperbolic_plus(field, diagonal):
 
 
 LENGTH_CHECK_SPACES = {
+    "O(2,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1]),
+    "O(3,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1, 1]),
     "O+(4,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1, 1, 1]),
     "O-(4,F_3)": lambda: diagonal_space(PrimeField(3), [1, 1, 1, -1]),
     "O(3,F_5)": lambda: diagonal_space(PrimeField(5), [1, 1, 1]),
@@ -484,3 +486,195 @@ class TestCensusPairTable:
         path.write_text(json.dumps(data))
         loaded = load_census(o4_f3.space, str(path))
         assert loaded.codes == o4_f3.codes and loaded.lengths == o4_f3.lengths
+
+
+def reference_code_bfs(space):
+    """The element-by-element column-code search that the level-wise one
+    replaced: one ``tuple(map(table.__getitem__, g))`` and one dict probe
+    per (element, reflection) pair, in queue order.  Returns the codes,
+    the lengths and the reflection tables it filled."""
+    p, n = space.field.p, space.dim
+    polar = space.polar_matrix._int_form()[0]
+    tables = [oracle_mod._ColumnImages(
+        oracle_mod._reflection_product_mod(p, polar, [[x.value for x in v]]), p)
+        for v in oracle_mod._generator_points(space)]
+    identity = tuple(p ** (n - 1 - j) for j in range(n))
+    lengths = {identity: 0}
+    order = [identity]
+    for g in order:
+        d = lengths[g] + 1
+        for table in tables:
+            h = tuple(map(table.__getitem__, g))
+            if h not in lengths:
+                lengths[h] = d
+                order.append(h)
+    return tuple(order), lengths, tables
+
+
+def reference_save_bytes(space, codes, lengths, path):
+    """The cache file as ``json.dump`` streamed it before ``save_census``
+    built the text in one ``json.dumps``."""
+    data = census_cache_key(space)
+    data["codes"] = codes
+    data["lengths"] = [lengths[g] for g in codes]
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    return path.read_bytes()
+
+
+def reference_length_rule(f):
+    """dim Mov(f) = rank(f - I) by a boxed elimination, plus 2 when the
+    boxed moved space is totally singular."""
+    space = f.space
+    rank = (f.matrix - Matrix.identity(space.field, space.dim)).rank()
+    if rank and space.is_totally_singular(moved_space(f)):
+        return rank + 2
+    return rank
+
+
+PINNED_GROUPS = {
+    "O(2,F_3)": (3, [1, 1]),
+    "O(3,F_3)": (3, [1, 1, 1]),
+    "O(3,F_5)": (5, [1, 1, 1]),
+    "O+(4,F_3)": (3, [1, 1, 1, 1]),
+    "O-(4,F_3)": (3, [1, 1, 1, -1]),
+}
+
+
+def check_census_against_references(p, form, tmp_path, monkeypatch):
+    space = diagonal_space(PrimeField(p), form)
+    made = []
+
+    class RecordedImages(oracle_mod._ColumnImages):
+        __slots__ = ()
+
+        def __init__(self, rows, p):
+            super().__init__(rows, p)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle_mod, "_ColumnImages", RecordedImages)
+        census = enumerate_group(space)
+    codes, lengths, tables = reference_code_bfs(space)
+    assert len(census) == group_order(space)
+    assert census.codes == codes
+    assert list(census.lengths.items()) == list(lengths.items())
+    assert [list(t.items()) for t in made] == [list(t.items()) for t in tables]
+    path = tmp_path / "census.json"
+    save_census(census, str(path))
+    assert path.read_bytes() == reference_save_bytes(space, codes, lengths,
+                                                     tmp_path / "reference.json")
+    assert expected_lengths(census) == {f.key(): reference_length_rule(f)
+                                        for f in census.elements}
+    assert verify_length_formula(census).ok
+
+
+class TestCensusAgainstReferences:
+    """The level-wise search, the prefix-shared length check and the
+    one-shot cache write against the code they replaced, kept here: the
+    same codes and lengths in the same order, the same reflection tables
+    filled in the same order, the same file bytes, and on every element the
+    length of a boxed rank(g - I) and moved space.  The negative control,
+    one changed length reported as one violation, is
+    ``TestLengthCheckOnResidues``, which runs on the same groups."""
+
+    @pytest.mark.parametrize("group", sorted(PINNED_GROUPS))
+    def test_search_lengths_and_bytes(self, group, tmp_path, monkeypatch):
+        check_census_against_references(*PINNED_GROUPS[group], tmp_path, monkeypatch)
+
+    @pytest.mark.slow
+    def test_o4_plus_f5(self, tmp_path, monkeypatch):
+        check_census_against_references(5, [1, 1, 1, 1], tmp_path, monkeypatch)
+
+
+def _drop(name):
+    def edit(data):
+        del data[name]
+        return data
+    return edit
+
+
+def _set(name, value):
+    def edit(data):
+        data[name] = value
+        return data
+    return edit
+
+
+def _length(k, value):
+    def edit(data):
+        data["lengths"][k] = value
+        return data
+    return edit
+
+
+def _cut_lengths(data):
+    data["lengths"].pop()
+    return data
+
+
+def _append_twice(data):
+    data["codes"].append(data["codes"][7])
+    data["lengths"].append(data["lengths"][7])
+    return data
+
+
+def _drop_one(data):
+    del data["codes"][7]
+    del data["lengths"][7]
+    return data
+
+
+def _repeat(data):
+    data["codes"][8] = data["codes"][7]
+    data["lengths"][8] = data["lengths"][7]
+    return data
+
+
+class TestCensusFileIntegrity:
+    """A cache file of O(3, F_3) (48 elements) that does not hold the group
+    once, with one non-negative int length per element, is refused through
+    ``cli.main``: exit 1 with a NotIsometry JSON error, never a count of 47
+    or 49 elements and never an uncaught exception."""
+
+    CASES = {
+        "top level a list": lambda data: [data],
+        "codes missing": _drop("codes"),
+        "lengths missing": _drop("lengths"),
+        "codes not a list": _set("codes", 5),
+        "lengths not a list": _set("lengths", 0),
+        "lengths cut short": _cut_lengths,
+        "negative length": _length(3, -1),
+        "float length": _length(3, 1.0),
+        "boolean length": _length(3, True),
+        "element stored twice": _repeat,
+        "element appended twice": _append_twice,
+        "element dropped": _drop_one,
+    }
+
+    def run(self, tmp_path, capsys, edit=None):
+        """Write the cache with one ``oracle --check length --cache`` call,
+        apply ``edit`` to its JSON, and return the exit code and the output
+        of a second call that reads it."""
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"field": "prime", "p": 3,
+                                    "form": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        path = tmp_path / "census.json"
+        argv = ["oracle", "--form", str(form), "--check", "length", "--cache", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        if edit is not None:
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_intact_file_is_read(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys)
+        assert code == 0
+        assert out["group_order"] == 48 and out["violations"] == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused(self, case, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, self.CASES[case])
+        assert code == 1
+        assert out["error"] == "NotIsometry"

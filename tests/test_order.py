@@ -535,6 +535,45 @@ class TestIntervalOnResidues:
             assert poset == pairwise_reference_interval(f)
 
 
+class TestNonMinimalGramOncePerSubspace:
+    """A non-minimal interval builds the polar Gram matrix of each candidate
+    U once and reads both the rank and the candidates off it: the only
+    total-singularity tests left are those of ``is_minimal(f)`` and of the
+    overspaces."""
+
+    def test_gram_counts(self, census_f3_d4, monkeypatch):
+        from wallfact.quadspace import QuadraticSpace
+        nonminimal = [f for f in census_f3_d4.elements if not is_minimal(f)]
+        expected = {f.key(): sum(1 for W in codimension_one_overspaces(f)
+                                 for U in enumerate_subspaces(W)
+                                 if not U.is_contained_in(moved_space(f)))
+                    for f in nonminimal}
+        references = {f.key(): pairwise_reference_interval(f) for f in nonminimal}
+        calls = {"polar": 0, "singular": 0}
+        polar_gram, singular = order_mod._polar_gram, QuadraticSpace.is_totally_singular
+
+        def counting_polar_gram(space, basis):
+            calls["polar"] += 1
+            return polar_gram(space, basis)
+
+        def counting_singular(self, W):
+            calls["singular"] += 1
+            return singular(self, W)
+
+        monkeypatch.setattr(order_mod, "_polar_gram", counting_polar_gram)
+        monkeypatch.setattr(QuadraticSpace, "is_totally_singular", counting_singular)
+        for f in nonminimal:
+            calls["singular"] = 0
+            is_minimal(f)
+            codimension_one_overspaces(f)
+            outside, calls["singular"], calls["polar"] = calls["singular"], 0, 0
+            poset = interval(f)
+            assert calls["polar"] == expected[f.key()] > 0
+            assert calls["singular"] == outside
+            assert poset == references[f.key()]
+            assert poset.to_json_dict() == references[f.key()].to_json_dict()
+
+
 @pytest.mark.slow
 class TestIntervalAgainstO4F5Census:
     """interval(f) against the BFS lengths of O(4, F_5), diag(1, 1, 1, -1),
@@ -580,9 +619,9 @@ class TestCandidateBudget:
     @pytest.fixture
     def no_candidates(self, monkeypatch):
         """Fail at once, rather than run for hours, if a candidate is built."""
-        def refuse(space, U):
+        def refuse(*args):
             raise AssertionError("a candidate was enumerated past the cap")
-        monkeypatch.setattr(order_mod, "enumerate_isometries_with_moved_space", refuse)
+        monkeypatch.setattr(order_mod, "_wall_candidates", refuse)
 
     @pytest.mark.parametrize("k,p", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 5)])
     def test_count_is_the_enumeration(self, k, p):
