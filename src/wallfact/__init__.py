@@ -15,7 +15,7 @@ from .linalg import (DimensionMismatch, Matrix, NonSquare, Subspace, TooLarge,
                      subspace_intersection, subspace_sum)
 from .quadspace import (Definiteness, DegenerateForm, Inertia, Isometry,
                         NotIsometry, QuadraticSpace, Signature, SingularVector,
-                        diagonal_space, lagrange_diagonalize)
+                        diagonal_space)
 from .wall import (ChiQMismatch, DegenerateChi, WallData, check_wall_properties,
                    chi_left_complement, chi_right_complement, fixed_space,
                    isometry_from_wall, moved_space, spinor_norm, wall_form)

@@ -178,10 +178,9 @@ def cmd_oracle(args):
         field = field_mod.PrimeField(args.field)
         space = quadspace_mod.diagonal_space(field, [1] * args.dim)
     cap = _cap(args)
-    census = None
-    if args.cache:
-        census = oracle_mod.load_census(space, args.cache)
-    if census is None:
+    census = oracle_mod.load_census(space, args.cache) if args.cache else None
+    loaded = census is not None
+    if not loaded:
         census = (oracle_mod.enumerate_group(space) if cap is None
                   else oracle_mod.enumerate_group(space, cap=cap))
         if args.cache:
@@ -196,7 +195,9 @@ def cmd_oracle(args):
         reports = [oracle_mod.verify_wall_bijection(census,
                                                     surjectivity=len(census) <= 64)]
     else:
-        reports = [oracle_mod.verify_minimal_intervals(census)]
+        # the interval check reads the lengths, so stored ones are checked first
+        reports = ([oracle_mod.verify_length_formula(census)] if loaded else []) + [
+            oracle_mod.verify_minimal_intervals(census)]
     _emit(args, {
         "group_order": len(census),
         "violations": sum(len(r.violations) for r in reports),
@@ -228,15 +229,16 @@ def build_parser():
         description="Exact reflection factorizations in orthogonal groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, isometries=1):
+    def common(p, isometries=1, cap=None):
         p.add_argument("--form", help="space JSON file: {field, form}")
         if isometries:
             p.add_argument("--isometry", action="append",
                            help="isometry JSON file: {matrix}; repeatable")
-        p.add_argument("--cap", type=int,
-                       help="the most subspaces or group elements an enumeration may "
-                            "visit, at least 1 (default: WALLFACT_CAP, else the "
-                            "library's defaults); past it the command exits 1 with TooLarge")
+        if cap:
+            p.add_argument("--cap", type=int,
+                           help="the most %s the enumeration may visit, at least 1 "
+                                "(default: WALLFACT_CAP, else the library's default); "
+                                "past it the command exits 1 with TooLarge" % cap)
         p.add_argument("--out", help="write the JSON output to a file")
 
     common(sub.add_parser("length", help="reflection length of an isometry"))
@@ -248,12 +250,12 @@ def build_parser():
     common(sub.add_parser("classify", help="elliptic/parabolic/hyperbolic type"))
     common(sub.add_parser("leq", help="order comparison: first isometry below second"))
     p = sub.add_parser("interval", help="interval poset below an isometry")
-    common(p)
+    common(p, cap="subspaces or candidate Wall forms")
     p.add_argument("--describe", action="store_true",
                    help="emit the hyperbolic interval description instead")
     p.add_argument("--dot", help="also write a DOT Hasse diagram to this file")
     p = sub.add_parser("oracle", help="enumerate the group and verify the theorems")
-    common(p, isometries=0)
+    common(p, isometries=0, cap="group elements")
     p.add_argument("--field", type=int, help="odd prime p for a standard diagonal form")
     p.add_argument("--dim", type=int, help="dimension for the standard diagonal form")
     p.add_argument("--check", default="all",

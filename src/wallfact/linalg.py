@@ -44,9 +44,12 @@ kernel form, the canonical form, and kernel scalars back to field elements.
 Q, pivot entry 1 over F_p), and ``_echelon_form`` turns them into the kernel
 form of the reduced echelon matrix, a step that ``Matrix.rref``,
 ``inverse``, ``solve_all``, ``kernel`` and every Subspace share.  Inertia
-counts exist over Q only: ``inertia_counts`` is fraction-free symmetric
-elimination on A, in which a pivot p turns the trailing block B into
-|p| B - sign(p) a a^T, a congruence up to a positive scale.
+counts exist over Q only: ``_inertia_int`` is the one symmetric
+elimination, fraction-free on A, in which a pivot p turns the trailing
+block B into |p| B - sign(p) a a^T, a congruence up to a positive scale.
+``inertia_counts`` reads the counts off it, and ``positive_witness`` a
+vector of positive square: the basis row of the first positive pivot,
+which the elimination tracks only when asked for it.
 
 ``reflection_product(B, vectors)`` is the matrix of a word of reflections
 r_v = I - v (B v)^T / Q(v), built from I by one rank-one update per
@@ -344,9 +347,11 @@ def _forward_int(rows, ncols):
     return order[:r], pivots, sign * prev
 
 
-def _inertia_int(G):
+def _inertia_int(G, witness=False):
     """(positives, negatives, zeros) of the symmetric integer matrix G, by
-    fraction-free symmetric elimination.
+    fraction-free symmetric elimination; with ``witness``, also the basis
+    row of the first positive pivot in kernel form (w, d), or None when
+    there are no positives.
 
     A pivot p = G[i][i] != 0 with the rest a of its row leaves the trailing
     block B as |p| B - sign(p) a a^T with its content divided out: a
@@ -356,14 +361,27 @@ def _inertia_int(G):
     is zero, Lagrange's step e_i <- e_i + e_j on the first nonzero entry
     G[i][j] makes the diagonal entry 2 G[i][j].  What remains once every
     entry is zero counts as zeros.
+
+    The witness tracks the basis C of the trailing block, in the
+    coordinates of G, as columns appended to its rows, until the first
+    positive pivot.  The same row operations carry C along and the content
+    is divided out of the whole rows, so all rows of C are one positive
+    multiple num / den of the rows that the unscaled steps
+    c_j <- c_j - (a_j / p) c_i give (those of Lagrange's method), and the
+    witness is the pivot row scaled back to them.  Dividing a row by its
+    own content would break that common scale, and with it the congruence.
     """
-    A = [list(row) for row in G]
+    n = len(G)
+    A = [list(row) + [int(i == j) for j in range(n)] if witness else list(row)
+         for i, row in enumerate(G)]
+    num = den = 1                   # the tracked rows over the unscaled ones: num / den
     pos = neg = 0
+    w = None
     while A:
         k = len(A)
         i = next((i for i in range(k) if A[i][i]), None)
         if i is None:
-            i = next((i for i in range(k) if any(A[i])), None)
+            i = next((i for i in range(k) if any(A[i][:k])), None)
             if i is None:
                 break
             j = next(j for j, x in enumerate(A[i]) if x)
@@ -373,6 +391,9 @@ def _inertia_int(G):
         p = A[i][i]
         if p > 0:
             pos += 1
+            if witness and w is None:
+                w = [x * den for x in A[i][k:]], num
+                A = [row[:k] for row in A]
         else:
             neg += 1
         a = A[i][:i] + A[i][i + 1:]
@@ -383,7 +404,10 @@ def _inertia_int(G):
         g = gcd(*itertools.chain.from_iterable(A))
         if g > 1:
             A = [[x // g for x in row] for row in A]
-    return pos, neg, len(G) - pos - neg
+        if witness and w is None:
+            num, den = num * q, den * max(g, 1)
+    counts = (pos, neg, n - pos - neg)
+    return (*counts, w) if witness else counts
 
 
 def _rref_mod(rows, ncols, p):
@@ -746,6 +770,14 @@ def inertia_counts(S):
     """(positives, negatives, zeros) of the symmetric matrix S over Q, from
     a fraction-free elimination of its integer form."""
     return _inertia_int(S._int_form()[0])
+
+
+def positive_witness(S):
+    """Coordinates of a vector w with w S w^T > 0, for the symmetric matrix
+    S over Q, or None when S has no positive square: the basis row of the
+    first positive pivot of the elimination behind ``inertia_counts``."""
+    w = _inertia_int(S._int_form()[0], witness=True)[3]
+    return None if w is None else _field_vector(S.field, *w)
 
 
 def _as_matrix(field, rows, cols):

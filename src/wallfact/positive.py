@@ -46,9 +46,9 @@ from .factor import (CertificateError, Factorization, form_row, small_vectors, t
                      triangular_rows, triangular_step, _unit)
 from .field import UnorderedField, rational_square_in_interval
 from .lattice import kernel_basis
-from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, restrict_bilinear, solve,
-                     subspace_intersection, vec_add, vec_scale, _int_row)
-from .quadspace import lagrange_diagonalize
+from .linalg import (Matrix, Subspace, bilinear_value, combine, kernel, positive_witness,
+                     restrict_bilinear, solve, subspace_intersection, vec_add, vec_scale,
+                     _int_row)
 from .wall import fixed_space, moved_space, wall_form
 
 
@@ -104,20 +104,14 @@ def positive_vector_for(X):
     """Coordinates of some u with X(u, u) > 0, or None when none exists.
 
     Takes the first positive small vector (``factor.small_vectors``); if
-    there is none, diagonalizes the symmetrized form, which decides
-    existence exactly.
+    there is none, the witness of the symmetric X + X^T
+    (``linalg.positive_witness``), whose elimination decides existence
+    exactly.
     """
     u = next((v for v, value in small_vectors(X) if value > 0), None)
     if u is not None:
         return u
-    field = X.field
-    half = field.one / field(2)
-    sym = (X + X.transpose()).scale(half)
-    diag, C = lagrange_diagonalize(sym)
-    for d, row in zip(diag, C.entries):
-        if d > 0:
-            return tuple(row)
-    return None
+    return positive_witness(X + X.transpose())
 
 
 def _certify(condition, message):
@@ -460,8 +454,7 @@ def _positive_vector_outside_fix(f):
     v = next((v for v, q in small_vectors(space.gram) if q > 0 and not fix.contains(v)), None)
     if v is not None:
         return v
-    diag, C = lagrange_diagonalize(space.gram)
-    v0 = next(tuple(row) for d, row in zip(diag, C.entries) if d > 0)
+    v0 = positive_witness(space.gram)
     if not fix.contains(v0):
         return v0
     u = next(space.standard_basis(i) for i in range(space.dim)

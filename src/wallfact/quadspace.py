@@ -15,8 +15,10 @@ reflection words.  Orthogonal complements, total-singularity tests, and
 
 Inertia is counted on integer rows: the Gram matrix of Q on a subspace is a
 product of integer forms, and ``linalg.inertia_counts`` eliminates it
-fraction-free.  The inertia of the whole space is kept once computed, in
-the ``_inertia`` slot, as ``Isometry`` keeps its Wall form.
+fraction-free.  That is the package's only symmetric elimination, and a
+vector of positive square comes from it too (``linalg.positive_witness``).
+The inertia of the whole space is kept once computed, in the ``_inertia``
+slot, as ``Isometry`` keeps its Wall form.
 """
 
 from __future__ import annotations
@@ -169,49 +171,6 @@ class QuadraticSpace:
 def diagonal_space(field, values):
     """Space with form diag(values)."""
     return QuadraticSpace(field, Matrix.diagonal(field, values))
-
-
-def lagrange_diagonalize(G):
-    """Symmetric congruence diagonalization by Lagrange's method.
-
-    Returns (diag, C) with C invertible rows c_i such that c_i G c_j^T is
-    diag[i] when i == j and zero otherwise.  Works over any field here
-    (char != 2); used where the diagonalizing vectors themselves are
-    needed (inertia counts come from ``linalg.inertia_counts``).
-    """
-    field = G.field
-    k = G.rows
-    A = [list(row) for row in G.entries]
-    C = [[field.one if i == j else field.zero for j in range(k)] for i in range(k)]
-
-    def add_row_col(dst, src, factor):
-        # basis op b_dst += factor * b_src, reflected on both sides of A
-        C[dst] = [x + factor * y for x, y in zip(C[dst], C[src])]
-        A[dst] = [x + factor * y for x, y in zip(A[dst], A[src])]
-        for r in range(k):
-            A[r][dst] = A[r][dst] + factor * A[r][src]
-
-    def swap(i, j):
-        C[i], C[j] = C[j], C[i]
-        A[i], A[j] = A[j], A[i]
-        for r in range(k):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-
-    for i in range(k):
-        if not A[i][i]:
-            pivot = next((j for j in range(i + 1, k) if A[j][j]), None)
-            if pivot is not None:
-                swap(i, pivot)
-            else:
-                off = next((j for j in range(i + 1, k) if A[i][j]), None)
-                if off is None:
-                    continue
-                add_row_col(i, off, field.one)  # new diagonal entry is 2*A[i][off]
-        for j in range(i + 1, k):
-            if A[j][i]:
-                add_row_col(j, i, -(A[j][i] / A[i][i]))
-    diag = [A[i][i] for i in range(k)]
-    return diag, Matrix(field, C, cols=k)
 
 
 class Isometry:

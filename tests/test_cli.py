@@ -295,6 +295,18 @@ class TestExitCodes:
         code, out = run(capsys, argv)
         assert code == 1 and out["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("command", ["length", "factor", "spinor", "classify", "leq",
+                                         "verify"])
+    def test_cap_is_a_usage_error_where_nothing_enumerates(self, capsys, lorentz_files,
+                                                           command):
+        form, boost = lorentz_files
+        argv = [command, "--form", form, "--isometry", boost, "--cap", "3"]
+        if command == "verify":
+            argv += ["--factorization", boost]
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and not out
+        assert "unrecognized arguments: --cap 3" in err
+
     def test_failed_certificate_is_internal_fault(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Factorization, "is_positive", lambda self: False)
         form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})

@@ -4,7 +4,8 @@ Over Q a Matrix keeps (A, d), integer rows over the least common
 denominator of its entries, built at most once; products, sums, forms and
 inertia run on it, and results box their Fraction entries only when read.
 The eager Fraction computations are kept here as references: a product
-entry by entry, and inertia counted off ``lagrange_diagonalize``.
+entry by entry, and inertia counted off a Lagrange diagonalization on
+Fraction entries.
 """
 
 import random
@@ -16,9 +17,9 @@ import pytest
 from wallfact import linalg, quadspace
 from wallfact.field import QQ, PrimeField
 from wallfact.linalg import (Matrix, bilinear_value, image, inertia_counts, kernel,
-                             preserves_form)
+                             positive_witness, preserves_form)
 from wallfact.positive import positive_factorization
-from wallfact.quadspace import QuadraticSpace, diagonal_space, lagrange_diagonalize
+from wallfact.quadspace import QuadraticSpace, diagonal_space
 from tests.conftest import random_positive_isometry
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 12)
@@ -37,8 +38,40 @@ def eager_product(M, N):
                  for row in M.entries)
 
 
+def lagrange_diagonal(S):
+    """The diagonal of a symmetric congruence diagonalization of S by
+    Lagrange's method, on Fraction entries: at step i a zero pivot is
+    swapped with a later nonzero diagonal entry, or, when there is none,
+    made 2 S[i][j] by the basis step e_i <- e_i + e_j; then the rows and
+    columns below it are cleared."""
+    k = S.rows
+    A = [list(row) for row in S.entries]
+
+    def add_row_col(dst, src, factor):
+        A[dst] = [x + factor * y for x, y in zip(A[dst], A[src])]
+        for row in A:
+            row[dst] += factor * row[src]
+
+    for i in range(k):
+        if not A[i][i]:
+            pivot = next((j for j in range(i + 1, k) if A[j][j]), None)
+            if pivot is not None:
+                A[i], A[pivot] = A[pivot], A[i]
+                for row in A:
+                    row[i], row[pivot] = row[pivot], row[i]
+            else:
+                off = next((j for j in range(i + 1, k) if A[i][j]), None)
+                if off is None:
+                    continue
+                add_row_col(i, off, 1)
+        for j in range(i + 1, k):
+            if A[j][i]:
+                add_row_col(j, i, -(A[j][i] / A[i][i]))
+    return [A[i][i] for i in range(k)]
+
+
 def reference_inertia(S):
-    diag, _ = lagrange_diagonalize(S)
+    diag = lagrange_diagonal(S)
     pos = sum(1 for x in diag if x > 0)
     neg = sum(1 for x in diag if x < 0)
     return pos, neg, len(diag) - pos - neg
@@ -117,6 +150,16 @@ class TestInertiaKernel:
     def test_matches_lagrange_diagonalization(self, seed):
         for S in symmetric_samples(seed, 550):
             assert inertia_counts(S) == reference_inertia(S), S
+
+    @pytest.mark.parametrize("seed", [2406, 2407])
+    def test_positive_witness(self, seed):
+        for S in symmetric_samples(seed, 550):
+            pos, neg, zero = reference_inertia(S)
+            assert inertia_counts(S) == (pos, neg, zero), S
+            w = positive_witness(S)
+            assert (w is None) == (pos == 0), S
+            if w is not None:
+                assert bilinear_value(S, w, w) > 0, S
 
     def test_zero_diagonal_needs_the_lagrange_step(self):
         S = Matrix(QQ, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, Fraction(-1, 2)],

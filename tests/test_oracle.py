@@ -678,3 +678,17 @@ class TestCensusFileIntegrity:
         code, out = self.run(tmp_path, capsys, self.CASES[case])
         assert code == 1
         assert out["error"] == "NotIsometry"
+
+    def test_stored_lengths_are_checked_before_the_intervals(self, tmp_path, capsys):
+        # the interval check reads the stored lengths, so a wrong one is
+        # named by the length check ahead of the 52 missing images it causes
+        self.run(tmp_path, capsys)
+        path = tmp_path / "census.json"
+        data = json.loads(path.read_text())
+        data["lengths"][20] += 2
+        path.write_text(json.dumps(data))
+        assert main(["oracle", "--form", str(tmp_path / "form.json"), "--check", "intervals",
+                     "--cache", str(path)]) == 0
+        lengths, intervals = json.loads(capsys.readouterr().out)["reports"]
+        assert (lengths["name"], lengths["violations"]) == ("length_formula", 1)
+        assert (intervals["name"], intervals["violations"]) == ("intervals", 52)

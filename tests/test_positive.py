@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallfact import (Matrix, NegativeDeterminant, NegativeSpinor,
+from wallfact import (Isometry, Matrix, NegativeDeterminant, NegativeSpinor,
                       NoPositiveVector, QQ, Subspace, SymmetricChi, UnorderedField,
                       basis_with_one_positive_vector, diagonal_space,
                       is_minimal, is_positive_isometry, isometry_from_wall,
@@ -142,6 +142,14 @@ class TestPositiveProbe:
         X = Matrix(QQ, [[-1, -2], [-2, -1]])
         u = positive_vector_for(X)
         assert u is not None
+        assert bilinear_value(X, u, u) > 0
+
+    def test_witness_keeps_one_scale_across_the_rows(self):
+        # no small vector is positive; the witness comes from the elimination
+        # of X + X^T after two negative pivots
+        X = Matrix(QQ, [[-2, 1, -2], [2, -2, -1], [-2, 0, -2]])
+        assert not any(value > 0 for _, value in positive_mod.small_vectors(X))
+        u = positive_vector_for(X)
         assert bilinear_value(X, u, u) > 0
 
     def test_none_when_negative_semidefinite(self):
@@ -689,3 +697,42 @@ class TestPositiveRoute:
             assert positive_reflection_length(f) == length
             fact = positive_factorization(f)
             assert len(fact) == length and fact.product() == f and fact.is_positive()
+
+
+class TestWitnessFallback:
+    """With the small-vector scan emptied, every positive vector comes from
+    the elimination witness (``linalg.positive_witness``): in
+    ``positive_vector_for`` and in ``_positive_vector_outside_fix`` alike."""
+
+    @staticmethod
+    def seeded_isometries():
+        rng = random.Random(3401)
+        for signature in [(2, 1), (3, 1), (2, 2), (1, 2), (1, 3)]:
+            space = diagonal_space(QQ, [1] * signature[0] + [-1] * signature[1])
+            for _ in range(6):
+                yield random_positive_isometry(space, rng)
+        # an involution whose moved space diag(1, -1, -1) is indefinite,
+        # conjugated so that no coordinate vector is special
+        space = diagonal_space(QQ, [1, 1, -1, -1])
+        f = Isometry(space, Matrix.diagonal(QQ, [-1, 1, -1, -1]))
+        for _ in range(3):
+            g = random_isometry(space, rng)
+            yield g @ f @ g.inverse()
+
+    def test_every_route_certifies_on_the_witness(self, monkeypatch):
+        real = positive_mod.positive_witness
+        calls = []
+        monkeypatch.setattr(positive_mod, "small_vectors", lambda X: iter(()))
+        monkeypatch.setattr(positive_mod, "positive_witness",
+                            lambda S: calls.append(S) or real(S))
+        routes = set()
+        for f in self.seeded_isometries():
+            route, length = positive_mod._positive_route(f)
+            calls.clear()
+            fact = positive_factorization(f)
+            assert fact.product() == f and fact.is_positive() and len(fact) == length
+            assert calls or route == "definite"
+            if route == "prepend":
+                assert f.space.gram in calls        # _positive_vector_outside_fix
+            routes.add(route)
+        assert routes == {"definite", "positive_basis", "prepend", "peel"}

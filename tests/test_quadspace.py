@@ -5,7 +5,7 @@ import pytest
 
 from wallfact import (Definiteness, DegenerateForm, Matrix, PrimeField, QQ,
                       QuadraticSpace, SingularVector, Subspace, UnorderedField,
-                      diagonal_space, lagrange_diagonalize)
+                      diagonal_space)
 from tests.conftest import random_isometry, random_nonsingular_vector
 
 
@@ -113,19 +113,6 @@ class TestSignature:
                     break
             other = QuadraticSpace(QQ, P.transpose() @ space.gram @ P)
             assert other.signature() == sig
-
-    def test_lagrange_diagonalize_property(self, rng):
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            raw = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            G = Matrix(QQ, [[Fraction(raw[i][j] + raw[j][i], 2) for j in range(n)]
-                            for i in range(n)])
-            diag, C = lagrange_diagonalize(G)
-            D = C @ G @ C.transpose()
-            assert C.det()
-            for i in range(n):
-                for j in range(n):
-                    assert D[i, j] == (diag[i] if i == j else 0)
 
 
 class TestReflection:
