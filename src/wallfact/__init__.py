@@ -37,7 +37,7 @@ from .hyperbolic import (HyperbolicClass, IntervalDescription, NotPositive,
                          interval_subspace_test, lorentz_space,
                          parabolic_interval_description)
 from .oracle import (GroupCensus, enumerate_group, exhaustive_isometries,
-                     verify_all, verify_intervals, verify_length_formula,
+                     verify_intervals, verify_length_formula,
                      verify_spinor_homomorphism, verify_wall_bijection)
 
 __version__ = "0.1.0"

@@ -22,12 +22,12 @@ product or a bilinear value is one int dot product over the product of the
 denominators.
 
 What differs by field is kept in two places.  The kernels that genuinely
-differ are dispatched once each: the two eliminations, the reflection word
-and the form check.  ``_rref`` is fraction-free Gauss-Jordan on primitive
-integer rows over Q and mod p over F_p; it gives canonical bases.
-``_forward`` is the one forward elimination, fraction-free Bareiss over Q
-and mod p over F_p, with no reduction above the pivots: it returns the
-origin indices J of the pivot rows, the pivot columns P and the signed
+differ are dispatched once each: the elimination, the reflection word and
+the form check.  There is one forward elimination per field, fraction-free
+Bareiss over Q (``_forward_int``) and elimination mod p over F_p
+(``_forward_mod``), and reduced echelon forms are back substitution on its
+rows.  ``_forward`` runs it with no reduction above the pivots: it returns
+the origin indices J of the pivot rows, the pivot columns P and the signed
 pivot minor, +-det of the rows J and columns P.  The rows J are a basis of
 the row span, and P are the pivots of its reduced echelon basis, since any
 echelon form of a matrix has the pivots of its row span.  So
@@ -35,16 +35,18 @@ echelon form of a matrix has the pivots of its row span.  So
 and ``column_basis(A)``, the kernel on the rows of A^T, gives the columns J
 of A that are a basis of its column space, with the pivots P of
 ``image(A)`` and det A[P][J] up to sign, from one elimination with no back
-substitution.  The census of ``oracle`` eliminates mod p one row at a
-time instead, with ``_echelon_step_mod``, so that the state after a
-prefix of rows can be shared between matrices that start with the same
+substitution.  ``_rref`` runs the same elimination and then
+``_back_int`` or ``_back_mod`` on the echelon rows it leaves, which clears
+each pivot column above its pivot and returns canonical rows (primitive
+with a positive pivot entry over Q, pivot entry 1 over F_p);
+``_echelon_form`` turns them into the kernel form of the reduced echelon
+matrix, a step that ``Matrix.rref``, ``inverse``, ``solve_all``, ``kernel``
+and every Subspace share.  The census of ``oracle`` eliminates mod p one
+row at a time instead, with ``_echelon_step_mod``, so that the state after
+a prefix of rows can be shared between matrices that start with the same
 rows.  Outside them three small conversions differ: field elements to
 kernel form, the canonical form, and kernel scalars back to field elements.
-``_rref`` returns canonical rows (primitive with a positive pivot entry over
-Q, pivot entry 1 over F_p), and ``_echelon_form`` turns them into the kernel
-form of the reduced echelon matrix, a step that ``Matrix.rref``,
-``inverse``, ``solve_all``, ``kernel`` and every Subspace share.  Inertia
-counts exist over Q only: ``_inertia_int`` is the one symmetric
+Inertia counts exist over Q only: ``_inertia_int`` is the one symmetric
 elimination, fraction-free on A, in which a pivot p turns the trailing
 block B into |p| B - sign(p) a a^T, a congruence up to a positive scale.
 ``inertia_counts`` reads the counts off it, and ``positive_witness`` a
@@ -173,12 +175,16 @@ def _rref(field, rows, ncols):
     Returns (rows, pivots) where rows are kernel rows, with the zero rows
     removed, and pivots the increasing list of pivot columns: over Q
     primitive integer rows with a positive pivot entry, over F_p residue
-    rows with pivot entry 1, so both are canonical.  The input rows are
-    read, never modified.
+    rows with pivot entry 1, so both are canonical.  It is ``_forward``'s
+    elimination followed by back substitution on the echelon rows it
+    leaves.  The input rows are read, never modified.
     """
     if isinstance(field, PrimeField):
-        return _rref_mod(rows, ncols, field.p)
-    return _rref_int(rows, ncols)
+        p = field.p
+        _, pivots, _, echelon = _forward_mod(rows, ncols, p)
+        return _back_mod(echelon, pivots, p), pivots
+    _, pivots, _, echelon = _forward_int(rows, ncols)
+    return _back_int(echelon, pivots), pivots
 
 
 def _echelon_form(rows, pivots):
@@ -225,12 +231,14 @@ def _forward(field, rows, ncols):
     span; and minor is the signed pivot minor: +-det of the rows J and
     columns P of the input, and det of the input when it is square of full
     rank.  Over Q it is fraction-free Bareiss elimination, whose last pivot
-    is that minor, over F_p elimination mod p.  The input rows are read,
-    never modified.
+    is that minor, over F_p elimination mod p.  It is the one forward
+    elimination in each field: ``_rref`` runs the same kernels,
+    ``_forward_int`` and ``_forward_mod``, and reads the echelon rows they
+    also return.  The input rows are read, never modified.
     """
     if isinstance(field, PrimeField):
-        return _forward_mod(rows, ncols, field.p)
-    return _forward_int(rows, ncols)
+        return _forward_mod(rows, ncols, field.p)[:3]
+    return _forward_int(rows, ncols)[:3]
 
 
 def _det(field, rows):
@@ -246,10 +254,6 @@ def _pivot_row(work, r, c):
             return i
     return None
 
-
-# Row r has zeros left of column c when column c is reached (earlier columns
-# are pivots cleared in every other row, or zero from row r down), so the
-# row operations of every elimination read columns c.. of the pivot row only.
 
 def _int_row(row):
     """A row of rationals (or ints) as (ints, d) with row = ints / d, d the
@@ -279,43 +283,14 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def _rref_int(rows, ncols):
-    """Fraction-free Gauss-Jordan on integer rows, each kept primitive, and
-    each pivot row's sign made positive at the end.  The input rows are
-    read, never modified."""
-    work = [_primitive(row) for row in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = _pivot_row(work, r, c)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        p = prow[c]
-        ptail = prow[c:]
-        for i in range(nrows):
-            row = work[i]
-            t = row[c]
-            if i != r and t:
-                g = gcd(p, t)
-                a, b = p // g, t // g
-                head = row[:c] if a == 1 else [a * x for x in row[:c]]
-                work[i] = _primitive(head + [a * x - b * y for x, y in zip(row[c:], ptail)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
-
-
 def _forward_int(rows, ncols):
-    """Bareiss elimination with column skipping on integer rows.  After the
-    pivot p of column c, each row i below holds (p x - t y) / prev on the
-    columns past c, t its entry in column c, y the pivot row and prev the
-    pivot before: a minor of the input, so the division is exact, and the
-    last pivot is the minor of the pivot rows and columns."""
+    """Bareiss elimination with column skipping on integer rows:
+    (J, P, minor, echelon), ``echelon`` the rows J as the elimination
+    leaves them.  After the pivot p of column c, each row i below holds
+    (p x - t y) / prev on the columns past c, t its entry in column c, y
+    the pivot row and prev the pivot before: a minor of the input, so the
+    division is exact, and the last pivot is the minor of the pivot rows
+    and columns."""
     work = [row[:] for row in rows]
     order = list(range(len(work)))
     nrows = len(work)
@@ -344,7 +319,36 @@ def _forward_int(rows, ncols):
         pivots.append(c)
         prev = p
         r += 1
-    return order[:r], pivots, sign * prev
+    return order[:r], pivots, sign * prev, work[:r]
+
+
+def _back_int(echelon, pivots):
+    """The reduced echelon rows of the span of the echelon rows that
+    ``_forward_int`` leaves, with pivot columns ``pivots``: primitive, with
+    a positive pivot entry.
+
+    From the last row up, each row is read from its pivot column on (the
+    entries left of it are stale) and cleared on the pivot column of every row below it, which is reduced by
+    then: x <- a x - b y, with t / p = b / a in lowest terms for t the
+    row's entry there and p > 0 the pivot entry of the reduced row y.
+    a > 0 keeps the sign of the row's own pivot, and the reduced rows are
+    zero on each other's pivot columns, so no clearing undoes another.
+    Clearing with reduced primitive rows keeps the entries small."""
+    reduced = []
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        tail = _primitive(row[c:])
+        for ce, e in reduced:
+            k = ce - c
+            t = tail[k]
+            if t:
+                p = e[0]
+                g = gcd(p, t)
+                a, b = p // g, t // g
+                head = tail[:k] if a == 1 else [a * x for x in tail[:k]]
+                tail = head + [a * x - b * y for x, y in zip(tail[k:], e)]
+        tail = _primitive(tail)
+        reduced.append((c, tail if tail[0] > 0 else [-x for x in tail]))
+    return [[0] * c + tail for c, tail in reversed(reduced)]
 
 
 def _inertia_int(G, witness=False):
@@ -410,34 +414,10 @@ def _inertia_int(G, witness=False):
     return (*counts, w) if witness else counts
 
 
-def _rref_mod(rows, ncols, p):
-    work = [row[:] for row in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = _pivot_row(work, r, c)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        head = work[r][:c]
-        tail = [x * inv % p for x in work[r][c:]]
-        work[r] = head + tail
-        for i in range(nrows):
-            t = work[i][c]
-            if i != r and t:
-                row = work[i]
-                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
-
-
 def _forward_mod(rows, ncols, p):
-    """Elimination mod p; the minor is the signed product of the pivots."""
+    """Elimination mod p: (J, P, minor, echelon), ``echelon`` the rows J as
+    the elimination leaves them; the minor is the signed product of the
+    pivots."""
     work = [row[:] for row in rows]
     order = list(range(len(work)))
     nrows = len(work)
@@ -458,14 +438,41 @@ def _forward_mod(rows, ncols, p):
         minor = minor * pivot % p
         inv = pow(pivot, p - 2, p)
         tail = work[r][c + 1:]
-        for i in range(r + 1, nrows):
-            row = work[i]
+        for row in work[r + 1:]:
             if row[c]:
                 t = row[c] * inv % p
                 row[c + 1:] = [(x - t * y) % p for x, y in zip(row[c + 1:], tail)]
         pivots.append(c)
         r += 1
-    return order[:r], pivots, minor
+    return order[:r], pivots, minor, work[:r]
+
+
+def _back_mod(echelon, pivots, p):
+    """The reduced echelon rows of the span of the echelon rows that
+    ``_forward_mod`` leaves, with pivot columns ``pivots``, in place: in
+    turn each row is scaled to lead with 1, its stale entries left of the
+    pivot are set to zero, and it clears its pivot column in the rows above
+    it, x <- x - t y for t the entry there.  A row is zero on the pivot
+    columns before its own, so clearing with it undoes no earlier clearing.
+    Residues do not grow, so unlike ``_back_int`` the order does not matter
+    here, and this one updates the rows in place.  The forward pass leaves
+    its pivot rows unscaled: ``_det``, ``rank`` and ``column_basis`` do not
+    read them."""
+    for k, c in enumerate(pivots):
+        prow = echelon[k]
+        pivot = prow[c]
+        if pivot != 1:
+            inv = pow(pivot, p - 2, p)
+            prow[c:] = [x * inv % p for x in prow[c:]]
+        if c:
+            prow[:c] = [0] * c
+        if k:
+            ptail = prow[c:]
+            for row in echelon[:k]:
+                t = row[c]
+                if t:
+                    row[c:] = [(x - t * y) % p for x, y in zip(row[c:], ptail)]
+    return echelon
 
 
 def _rank_one_mod(p, A, B):

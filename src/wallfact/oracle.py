@@ -47,7 +47,7 @@ from .linalg import (DEFAULT_SUBSPACE_CAP, Matrix, TooLarge, _echelon_step_mod, 
                      _reflection_product_mod, projective_points)
 from .order import _admissible_restrictions, less_equal
 from .quadspace import Isometry, NotIsometry
-from .wall import isometry_from_wall, moved_space, spinor_norm, wall_form
+from .wall import CheckReport, isometry_from_wall, moved_space, spinor_norm, wall_form
 
 DEFAULT_GROUP_CAP = 10 ** 5
 
@@ -134,6 +134,15 @@ def group_order(space) -> int:
     return order
 
 
+def check_group_cap(space, cap):
+    """Raise TypeError off a finite field and TooLarge when
+    ``group_order(space)`` exceeds ``cap``."""
+    if not isinstance(space.field, PrimeField):
+        raise TypeError("group enumeration needs a finite field")
+    if group_order(space) > cap:
+        raise TooLarge("group exceeds the cap of %d elements" % cap)
+
+
 def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     """BFS closure of the reflections; records word lengths from the identity.
 
@@ -164,12 +173,8 @@ def enumerate_group(space, cap=DEFAULT_GROUP_CAP) -> GroupCensus:
     ``cap``, before any point is listed: listing the lines alone takes
     (p^n - 1)/(p - 1) steps.
     """
-    field = space.field
-    if not isinstance(field, PrimeField):
-        raise TypeError("group enumeration needs a finite field")
-    if group_order(space) > cap:
-        raise TooLarge("group exceeds the cap of %d elements" % cap)
-    p, n = field.p, space.dim
+    check_group_cap(space, cap)
+    p, n = space.field.p, space.dim
     polar = space.polar_matrix._int_form()[0]
     tables = [_ColumnImages(_reflection_product_mod(p, polar, [[x.value for x in v]]), p)
               for v in _generator_points(space)]
@@ -282,23 +287,7 @@ def exhaustive_isometries(space):
 # ---------------------------------------------------------------------------
 # verification reports
 
-@dataclass
-class VerificationReport:
-    name: str
-    checked: int
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def to_json_dict(self):
-        return {"name": self.name, "checked": self.checked,
-                "violations": len(self.violations),
-                "witnesses": [str(w) for w in self.violations[:5]]}
-
-
-def verify_length_formula(census) -> VerificationReport:
+def verify_length_formula(census) -> CheckReport:
     """BFS distance against dim Mov(g) (+2 when Mov(g) is totally singular),
     for every element g, on the int residues of its columns.
 
@@ -359,10 +348,10 @@ def verify_length_formula(census) -> VerificationReport:
         bfs = census.lengths[g]
         if bfs != expected:
             violations.append((_boxed(space, g, {}).key(), bfs, expected))
-    return VerificationReport("length_formula", len(census.codes), violations)
+    return CheckReport("length_formula", len(census.codes), violations)
 
 
-def verify_spinor_homomorphism(census) -> VerificationReport:
+def verify_spinor_homomorphism(census) -> CheckReport:
     """theta(fg) = theta(f) theta(g) over all pairs of the census."""
     norms = {}
     for f in census.elements:
@@ -375,19 +364,21 @@ def verify_spinor_homomorphism(census) -> VerificationReport:
             fg = f @ g
             if norms[fg.key()] != norms[f.key()] * norms[g.key()]:
                 violations.append((f.key(), g.key()))
-    return VerificationReport("spinor_homomorphism", checked, violations)
+    return CheckReport("spinor_homomorphism", checked, violations)
 
 
-def verify_wall_bijection(census, surjectivity=True) -> VerificationReport:
+def verify_wall_bijection(census, surjectivity=None) -> CheckReport:
     """Round-trip f -> (Mov, chi) -> f on every element.
 
-    With surjectivity=True additionally enumerates every admissible pair
-    (W, chi) over the whole space and checks the pairs biject onto the
-    group.
+    With surjectivity, by default on a census of at most 64 elements, it
+    additionally enumerates every admissible pair (W, chi) over the whole
+    space and checks the pairs biject onto the group.
     """
     from .linalg import Subspace, enumerate_subspaces
     from .wall import enumerate_isometries_with_moved_space
 
+    if surjectivity is None:
+        surjectivity = len(census) <= 64
     space = census.space
     violations = []
     checked = 0
@@ -413,7 +404,7 @@ def verify_wall_bijection(census, surjectivity=True) -> VerificationReport:
                     violations.append(("moved_space_mismatch", k))
         if len(seen) != len(census):
             violations.append(("pair_count", len(seen), len(census)))
-    return VerificationReport("wall_bijection", checked, violations)
+    return CheckReport("wall_bijection", checked, violations)
 
 
 def brute_force_interval(census, f):
@@ -426,7 +417,7 @@ def brute_force_interval(census, f):
     return out
 
 
-def verify_intervals(census, f) -> VerificationReport:
+def verify_intervals(census, f) -> CheckReport:
     """Definition-based interval against the admissible-subspace image (minimal f)."""
     space = census.space
     if not is_minimal(f):
@@ -440,12 +431,12 @@ def verify_intervals(census, f) -> VerificationReport:
         violations.append(("missing_from_image", k))
     for k in image_keys - defn_keys:
         violations.append(("extra_in_image", k))
-    return VerificationReport("intervals", len(defn_keys) + len(image_keys), violations)
+    return CheckReport("intervals", len(defn_keys) + len(image_keys), violations)
 
 
-def verify_minimal_intervals(census) -> VerificationReport:
+def verify_minimal_intervals(census) -> CheckReport:
     """verify_intervals on every minimal element, merged into one report."""
-    merged = VerificationReport("intervals", 0, [])
+    merged = CheckReport("intervals", 0, [])
     for f in census.elements:
         if is_minimal(f):
             r = verify_intervals(census, f)
@@ -454,19 +445,7 @@ def verify_minimal_intervals(census) -> VerificationReport:
     return merged
 
 
-def verify_all(census, intervals_for_minimal=True) -> list:
-    """Run every verification; interval checks cover each minimal element."""
-    reports = [
-        verify_length_formula(census),
-        verify_spinor_homomorphism(census),
-        verify_wall_bijection(census, surjectivity=len(census) <= 64),
-    ]
-    if intervals_for_minimal:
-        reports.append(verify_minimal_intervals(census))
-    return reports
-
-
-def verify_order_against_lengths(census, f) -> VerificationReport:
+def verify_order_against_lengths(census, f) -> CheckReport:
     """less_equal agrees with the BFS-length comparison for all g."""
     violations = []
     for g in census.elements:
@@ -474,7 +453,7 @@ def verify_order_against_lengths(census, f) -> VerificationReport:
                   census.length_of(g.inverse() @ f) == census.length_of(f))
         if by_bfs != less_equal(g, f):
             violations.append((g.key(), f.key()))
-    return VerificationReport("order_against_lengths", len(census.elements), violations)
+    return CheckReport("order_against_lengths", len(census.elements), violations)
 
 
 # ---------------------------------------------------------------------------

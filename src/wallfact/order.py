@@ -340,4 +340,4 @@ def interval_is_graded_check(poset) -> CheckReport:
                         if poset.leq[i][j] != poset.leq[image[j]][image[i]]:
                             dual_ok = False
         checks["blocks_self_dual"] = dual_ok
-    return CheckReport(checks)
+    return CheckReport.of_checks("interval_graded", checks)

@@ -289,16 +289,31 @@ def spinor_norm(f):
 
 @dataclass
 class CheckReport:
-    """Named structural checks and whether each one held."""
+    """A check run on ``checked`` cases, with one witness per violation: the
+    names of the identities that failed for ``check_wall_properties`` and
+    ``order.interval_is_graded_check``, the failing elements for the
+    oracle's theorem checks."""
 
-    checks: dict
+    name: str
+    checked: int
+    violations: list
+
+    @classmethod
+    def of_checks(cls, name, checks):
+        """The report of named structural checks, a dict of name -> held."""
+        return cls(name, len(checks), [check for check, held in checks.items() if not held])
 
     @property
     def ok(self):
-        return all(self.checks.values())
+        return not self.violations
 
     def failing(self):
-        return [name for name, good in self.checks.items() if not good]
+        return list(self.violations)
+
+    def to_json_dict(self):
+        return {"name": self.name, "checked": self.checked,
+                "violations": len(self.violations),
+                "witnesses": [str(w) for w in self.violations[:5]]}
 
 
 def check_wall_properties(f, g) -> CheckReport:
@@ -337,7 +352,7 @@ def check_wall_properties(f, g) -> CheckReport:
     checks["conjugation_transports"] = ok
 
     checks["symmetric_iff_involution"] = (wd.is_symmetric() == f.is_involution())
-    return CheckReport(checks)
+    return CheckReport.of_checks("wall_properties", checks)
 
 
 def enumerate_isometries_with_moved_space(space, U):

@@ -307,6 +307,18 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "unrecognized arguments: --cap 3" in err
 
+    @pytest.mark.parametrize("option", ["--cap", "--dot"])
+    def test_describe_takes_no_enumeration_option(self, tmp_path, capsys, lorentz_files,
+                                                  option):
+        # the hyperbolic description enumerates nothing and draws no diagram
+        form, boost = lorentz_files
+        dot = tmp_path / "hasse.dot"
+        value = "3" if option == "--cap" else str(dot)
+        code, out = run(capsys, ["interval", "--describe", "--form", form,
+                                 "--isometry", boost, option, value])
+        assert code == 2 and out["error"] == "malformed_input"
+        assert not dot.exists()
+
     def test_failed_certificate_is_internal_fault(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Factorization, "is_positive", lambda self: False)
         form = write(tmp_path, "s.json", {"field": "rational", "form": [[1, 0], [0, 1]]})
@@ -376,12 +388,12 @@ class TestParserBuiltOnce:
         build_parser.cache_clear()
         in_turn = [invoke(capsys, argv) for argv in calls]
         assert in_turn == fresh
-        assert [code for code, _, _ in in_turn] == [0] * len(calls)
+        assert [code for code, _, _ in in_turn] == [0, 0, 0, 0, 2, 0]
         assert in_turn[0][1] == "" and json.loads(out.read_text()) == {"leq": True}
         assert json.loads(in_turn[1][1]) == {"length": 2}
         assert json.loads(in_turn[2][1])["positive"] is True
         assert "positive" not in json.loads(in_turn[3][1])
-        assert json.loads(in_turn[4][1])["type"] == "hyperbolic"
+        assert json.loads(in_turn[4][1])["error"] == "malformed_input"
         assert "covers" in json.loads(in_turn[5][1])        # no --describe, no --cap 1
         assert not dot.exists()
         assert build_parser.cache_info().misses == 1

@@ -1,9 +1,12 @@
+import ast
 import operator
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import wallfact
 from wallfact import (DimensionMismatch, Fp, Matrix, NonSquare, PrimeField, QQ,
                       Subspace, TooLarge, diagonal_space, enumerate_subspaces, image,
                       kernel, solve, subspace_intersection, subspace_sum, wall_form)
@@ -610,6 +613,69 @@ class TestForwardKernel:
             assert linalg._det(field, []) == 1
         assert Matrix.zeros(QQ, 3, 0).rank() == Matrix.zeros(QQ, 0, 3).rank() == 0
         assert linalg.column_basis(Matrix.zeros(QQ, 2, 3)) == ([], [], 1)
+
+
+def forward_kernel(field, rows, ncols):
+    """(J, P, minor, echelon rows) of the forward kernel of field."""
+    if field is QQ:
+        return linalg._forward_int(rows, ncols)
+    return linalg._forward_mod(rows, ncols, field.p)
+
+
+class TestBackSubstitution:
+    """``_rref`` is the forward elimination followed by back substitution on
+    the echelon rows it leaves, whose entries left of each pivot are stale:
+    the forward pass updates only the columns past each pivot."""
+
+    FIELDS = TestForwardKernel.FIELDS
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_stale_entries_are_read_as_zero(self, field):
+        rows = [[0, 1, 2, 1], [2, 1, 0, 1], [1, 2, 1, 0], [1, 1, 1, 2]]
+        copy = [row[:] for row in rows]
+        J, P, _, echelon = forward_kernel(field, rows, 4)
+        # column 0 is taken from row 1, so rows 0 and 1 swap, and rows 2 and
+        # 3 keep their entries in column 0 when they become pivot rows
+        assert J[:2] == [1, 0] and len(P) >= 3
+        assert all(echelon[k][0] == rows[J[k]][0] != 0 for k in range(2, len(P)))
+        reduced, pivots = linalg._rref(field, rows, 4)
+        assert rows == copy and pivots == P
+        E, L = linalg._echelon_form(reduced, pivots)
+        assert Matrix._of_int(field, E, L, 4).entries == reference_rref(field, rows)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_rref_against_the_reference(self, field):
+        rng = random.Random(4419 + getattr(field, "p", 0))
+        stale = 0
+        for A in kernel_matrices(field, rng):
+            rows = A._int_form()[0]
+            _, P, _, echelon = forward_kernel(field, rows, A.cols)
+            stale += any(any(row[:c]) for row, c in zip(echelon, P))
+            R, pivots = A.rref()
+            assert R.entries == reference_rref(field, A.entries)
+            assert list(pivots) == P
+        assert stale >= 50
+
+
+def test_one_pivot_search_per_field():
+    """Every elimination in ``src`` runs one of the two forward kernels: only
+    they search for pivots, and no Gauss-Jordan kernel is left."""
+    package = os.path.dirname(os.path.abspath(wallfact.__file__))
+    searchers, defined = set(), set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                defined.add(fn.name)
+                if any(isinstance(n, ast.Name) and n.id == "_pivot_row"
+                       or isinstance(n, ast.Attribute) and n.attr == "_pivot_row"
+                       for n in ast.walk(fn)):
+                    searchers.add(fn.name)
+    assert searchers == {"_forward_int", "_forward_mod"}
+    assert "_pivot_row" in defined and not defined & {"_rref_int", "_rref_mod"}
 
 
 def rank_r_residues(rng, p, n, r):

@@ -679,16 +679,39 @@ class TestCensusFileIntegrity:
         assert code == 1
         assert out["error"] == "NotIsometry"
 
-    def test_stored_lengths_are_checked_before_the_intervals(self, tmp_path, capsys):
-        # the interval check reads the stored lengths, so a wrong one is
-        # named by the length check ahead of the 52 missing images it causes
+    def check_raised_stored_length(self, tmp_path, capsys, check):
+        # the interval check reads the lengths, so a wrong stored one is
+        # named by the length check, and the intervals run on the group
+        # enumerated afresh instead of echoing it; the file is left as it is
         self.run(tmp_path, capsys)
         path = tmp_path / "census.json"
         data = json.loads(path.read_text())
         data["lengths"][20] += 2
         path.write_text(json.dumps(data))
-        assert main(["oracle", "--form", str(tmp_path / "form.json"), "--check", "intervals",
-                     "--cache", str(path)]) == 0
-        lengths, intervals = json.loads(capsys.readouterr().out)["reports"]
+        stored = path.read_text()
+        argv = ["oracle", "--form", str(tmp_path / "form.json"), "--check", check,
+                "--cache", str(path)]
+        # under a cap below the group order it is refused, as an intact file is
+        assert main(argv + ["--cap", "10"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        lengths, intervals = out["reports"][0], out["reports"][-1]
         assert (lengths["name"], lengths["violations"]) == ("length_formula", 1)
-        assert (intervals["name"], intervals["violations"]) == ("intervals", 52)
+        assert (intervals["name"], intervals["violations"]) == ("intervals", 0)
+        assert out["violations"] == 1 and out["group_order"] == 48
+        assert path.read_text() == stored
+
+    @pytest.mark.parametrize("check", ["length", "intervals", "all"])
+    def test_loaded_census_obeys_the_cap(self, tmp_path, capsys, check):
+        self.run(tmp_path, capsys)
+        code = main(["oracle", "--form", str(tmp_path / "form.json"), "--check", check,
+                     "--cache", str(tmp_path / "census.json"), "--cap", "10"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
+
+    def test_stored_lengths_are_checked_before_the_intervals(self, tmp_path, capsys):
+        self.check_raised_stored_length(tmp_path, capsys, "intervals")
+
+    def test_stored_lengths_are_checked_before_every_check(self, tmp_path, capsys):
+        self.check_raised_stored_length(tmp_path, capsys, "all")

@@ -375,6 +375,24 @@ class TestWallProperties:
         monkeypatch.setattr(wall, "wall_form", transposed)
         assert check_wall_properties(f, g).failing() == ["twist_identity"]
 
+    def test_one_report_type(self, rng, monkeypatch):
+        """The structural checks report like the oracle's theorem checks:
+        the names of the failing identities are the violations."""
+        from wallfact.oracle import CheckReport as OracleReport
+        space = diagonal_space(QQ, [1, 1, -1])
+        f = space.reflection((1, 0, 0)) @ space.reflection((1, 1, 0))
+        g = random_isometry(space, rng)
+        report = check_wall_properties(f, g)
+        assert type(report) is wall.CheckReport is OracleReport
+        assert (report.name, report.checked, report.violations) == ("wall_properties", 5, [])
+        real_wall_form = wall.wall_form
+        monkeypatch.setattr(wall, "wall_form", lambda h: WallData(
+            h.space, real_wall_form(h).subspace, real_wall_form(h).chi.transpose()))
+        report = check_wall_properties(f, g)
+        assert not report.ok and report.violations == ["twist_identity"]
+        assert report.to_json_dict() == {"name": "wall_properties", "checked": 5,
+                                         "violations": 1, "witnesses": ["twist_identity"]}
+
 
 class TestMovedSpaceEnumeration:
     def test_counts_on_lines(self, f3):
